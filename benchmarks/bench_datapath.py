@@ -180,9 +180,10 @@ def test_datapath_shard(benchmark):
     """Single-pipeline batched engine vs sharded parallel execution.
 
     Runs the Fig. 14a heavy-hitter workload through two identical
-    deployments -- once as sequential column batches, once sharded over 4
-    worker replicas with exact register merging -- verifies registers match
-    bit-for-bit, and persists the speedup to ``BENCH_datapath_shard.json``.
+    deployments -- once as sequential column batches, once sharded over a
+    4-worker shard pool (started inside the timed call) with exact register
+    merging -- verifies registers match bit-for-bit, and persists the
+    speedup to ``BENCH_datapath_shard.json``.
 
     The >=2x speedup bound only applies when the machine actually has the
     cores to parallelize over (cpu_count >= 4); single-core runners still
@@ -209,9 +210,12 @@ def test_datapath_shard(benchmark):
         shard_seconds = time.perf_counter() - start
         return batch_seconds, shard_seconds, report
 
-    (batch_seconds, shard_seconds, report), _total = run_once_timed(
-        benchmark, compare
-    )
+    try:
+        (batch_seconds, shard_seconds, report), _total = run_once_timed(
+            benchmark, compare
+        )
+    finally:
+        sharded.close_shard_pool()
     assert report.fallback is None
     assert report.shards == workers
 
@@ -283,14 +287,9 @@ def test_datapath_shard_persistent(benchmark):
         batched.process_trace(trace, batch_size=batch_size)
         start = time.perf_counter()
         cold_report = pooled.process_trace_sharded(
-            trace,
-            workers=workers,
-            batch_size=batch_size,
-            backend="process",
-            runtime="persistent",
+            trace, workers=workers, batch_size=batch_size
         )
         cold_seconds = time.perf_counter() - start
-        assert cold_report.runtime == "persistent"
         assert cold_report.fallback is None
 
         def compare():
@@ -299,11 +298,7 @@ def test_datapath_shard_persistent(benchmark):
             batch_seconds = time.perf_counter() - start
             start = time.perf_counter()
             report = pooled.process_trace_sharded(
-                trace,
-                workers=workers,
-                batch_size=batch_size,
-                backend="process",
-                runtime="persistent",
+                trace, workers=workers, batch_size=batch_size
             )
             shard_seconds = time.perf_counter() - start
             return batch_seconds, shard_seconds, report
@@ -311,7 +306,7 @@ def test_datapath_shard_persistent(benchmark):
         (batch_seconds, shard_seconds, report), _total = run_once_timed(
             benchmark, compare
         )
-        assert report.runtime == "persistent"
+        assert report.shards == workers
         assert all(t["build_ms"] == 0.0 for t in report.shard_timings)
 
         identical = True
@@ -343,7 +338,6 @@ def test_datapath_shard_persistent(benchmark):
         transport_ms=sum(t["transport_ms"] for t in report.shard_timings),
         workers=workers,
         backend=report.backend,
-        runtime=report.runtime,
         cpu_count=cpu_count,
         identical=identical,
         num_packets=num_packets,

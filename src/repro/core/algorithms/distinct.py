@@ -81,20 +81,25 @@ class FlyMonHll(CmuAlgorithm):
             )
         ]
 
+    @classmethod
+    def ranks(cls, stored) -> np.ndarray:
+        """Per-bucket HLL ranks from stored complement maxima.
+
+        The rank is monotone in the stored value (a larger complement is a
+        smaller minimum hash), so the element-wise maximum of stored cells
+        yields the element-wise maximum of ranks.  Empty buckets rank 0.
+        """
+        stored = np.asarray(stored, dtype=np.int64)
+        min_hash = ~stored & ((1 << cls.rho_bits) - 1)
+        # frexp's exponent is the bit length of a positive integer (0 -> 0).
+        bit_length = np.frexp(min_hash.astype(np.float64))[1]
+        ranks = cls.rho_bits - bit_length.astype(np.int64) + 1
+        ranks[stored == 0] = 0
+        return ranks
+
     def estimate(self) -> float:
         """Cardinality estimate from the stored complement maxima."""
-        stored = self.rows[0].read()
-        mask = (1 << self.rho_bits) - 1
-        ranks = np.zeros(len(stored), dtype=np.int64)
-        for i, value in enumerate(stored):
-            if value == 0:
-                continue  # empty bucket
-            min_hash = (~int(value)) & mask
-            if min_hash == 0:
-                ranks[i] = self.rho_bits + 1
-            else:
-                ranks[i] = self.rho_bits - min_hash.bit_length() + 1
-        return hll_estimate(ranks)
+        return hll_estimate(self.ranks(self.rows[0].read()))
 
 
 @register_algorithm

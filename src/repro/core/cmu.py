@@ -130,11 +130,6 @@ class Cmu:
         self._sample_hash = HashFunction(0x5A5A ^ (group_id << 8) ^ index)
         #: Data-plane digests: {task_id: set of reported flow keys}.
         self._digests: Dict[int, set] = {}
-        #: Optional :class:`repro.dataplane.sharding.ShardJournal` -- when a
-        #: sharded worker sets it, :meth:`process_batch` records each tracked
-        #: task's post-sampling (rows, index, p1, p2) stream so the merge can
-        #: replay state-dependent operations exactly.
-        self.journal = None
         #: Cached telemetry handle (bound on first use while enabled).
         self._access_counter = None
 
@@ -377,12 +372,6 @@ class Cmu:
             # Preparation: address translation + parameter preprocessing.
             index = plan.translation.translate_batch(address)
             p1 = config.p1_processor.apply_batch(p1, batch, rows)
-            if self.journal is not None and self.journal.wants(
-                self.group_id, self.index, task_id
-            ):
-                self.journal.record(
-                    self.group_id, self.index, task_id, rows, index, p1, p2
-                )
             # Operation: stateful update; export result and processed p1.
             results = self.register.execute_batch(config.op, index, p1, p2)
             batch.ensure(result_field(self.group_id, self.index))[rows] = results

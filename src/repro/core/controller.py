@@ -229,9 +229,9 @@ class FlyMonController:
             for cmu in group.cmus
         }
         self._handles: Dict[int, TaskHandle] = {}
-        # Persistent shard worker pool (lazily created by the persistent
-        # shard runtime); mutators flag it dirty so resident worker replicas
-        # re-sync, by delta, before the next sharded run.
+        # Persistent shard worker pool (created by the first sharded run);
+        # mutators flag it dirty so resident worker replicas re-sync, by
+        # delta, before the next sharded run.
         self._shard_pool = None
         # Committed reconfiguration history (add/remove/filter updates, in
         # execution order).  Replaying it on a fresh controller reproduces
@@ -918,69 +918,38 @@ class FlyMonController:
         trace: Trace,
         workers: int,
         batch_size: Optional[int] = None,
-        backend: Optional[str] = None,
-        collect_exports: bool = False,
-        exact_exports: bool = False,
-        runtime: Optional[str] = None,
     ):
         """Replay a trace through per-worker datapath replicas in parallel.
 
-        Row shards run through cloned CMU groups; worker register state is
-        merged back exactly (see :mod:`repro.dataplane.sharding`), so
-        queries, digests, and register reads afterwards match a sequential
-        replay bit for bit.  Returns the
+        Row shards run through this controller's persistent worker pool
+        (created on first use, kept across calls and epochs); worker cells
+        merge back by their cell laws, so queries, digests, and register
+        reads afterwards match a sequential replay bit for bit.  A
+        deployment with an alarm-armed row or a row without a cell law runs
+        sequentially in-process instead (see
+        :mod:`repro.dataplane.sharding`).  Returns the
         :class:`~repro.dataplane.sharding.ShardRunReport`.
-
-        ``runtime`` (or ``FLYMON_SHARD_RUNTIME``) selects ``"ephemeral"``
-        (fresh replicas per call) or ``"persistent"``, which keeps this
-        controller's long-lived worker pool attached across calls and
-        epochs (see :class:`~repro.dataplane.shard_pool.PersistentShardPool`).
         """
-        from repro.dataplane.sharding import (
-            RUNTIME_PERSISTENT,
-            run_sharded,
-            shard_runtime,
-        )
+        from repro.dataplane.sharding import run_sharded
 
-        runtime = shard_runtime(runtime)
-        pool = None
-        if runtime == RUNTIME_PERSISTENT:
-            pool = self.shard_pool(max(1, int(workers)), backend=backend)
         return run_sharded(
-            self.groups,
-            trace,
-            workers,
-            batch_size=batch_size,
-            backend=backend,
-            collect_exports=collect_exports,
-            exact_exports=exact_exports,
-            runtime=runtime,
-            pool=pool,
+            self.groups, trace, workers, batch_size=batch_size, pool=self.shard_pool
         )
 
-    def shard_pool(self, workers: int, backend: Optional[str] = None):
+    def shard_pool(self, workers: int):
         """The controller's persistent shard pool, (re)created on demand.
 
-        Returns ``None`` for the serial backend (which runs in-process and
-        needs no pool).  An existing pool is replaced when the requested
-        worker count or backend no longer matches.
+        An existing pool is replaced when the requested worker count no
+        longer matches.
         """
-        from repro.dataplane.sharding import BACKEND_SERIAL, _resolve_backend
         from repro.dataplane.shard_pool import PersistentShardPool
 
-        resolved = _resolve_backend(backend)
-        if resolved == BACKEND_SERIAL:
-            return None
         pool = self._shard_pool
-        if pool is not None and (
-            pool.closed or pool.workers != workers or pool.backend != resolved
-        ):
+        if pool is not None and (pool.closed or pool.workers != workers):
             pool.close()
             pool = self._shard_pool = None
         if pool is None:
-            pool = self._shard_pool = PersistentShardPool(
-                self.groups, workers, backend=resolved
-            )
+            pool = self._shard_pool = PersistentShardPool(self.groups, workers)
         return pool
 
     def close_shard_pool(self) -> None:

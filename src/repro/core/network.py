@@ -10,8 +10,8 @@ Merge semantics per attribute:
 * frequency -- sum of per-switch estimates (each packet is observed at one
   *designated* switch, e.g. its ingress edge; the coordinator assumes the
   deployment's filters partition traffic that way),
-* distinct (HLL) -- registers merge by element-wise max, so flows crossing
-  multiple switches are not double-counted,
+* distinct (HLL) -- stored cells merge by element-wise max before one rank
+  extraction, so flows crossing multiple switches are not double-counted,
 * existence -- union (a flow exists if any switch saw it),
 * heavy hitters -- query the summed frequency; or union the switches'
   data-plane alarm digests (a documented over/under sandwich, below),
@@ -40,7 +40,9 @@ import numpy as np
 
 from repro.analysis.entropy import entropy_from_distribution
 from repro.analysis.estimators import hll_estimate, mrac_em
+from repro.core.algorithms.distinct import FlyMonHll
 from repro.core.controller import FlyMonController, TaskHandle
+from repro.core.laws import LAW_MAX, LAW_SUM, fold
 from repro.core.task import MeasurementTask
 from repro.traffic.trace import Trace
 
@@ -76,6 +78,16 @@ class NetworkTaskHandle:
             union |= handle.algorithm.data_plane_heavy_hitters()
         return union
 
+    def _merged_row(self, law: str) -> np.ndarray:
+        """Fold every switch's first task row under one cell law."""
+        merged = None
+        for handle in self.per_switch.values():
+            row = handle.algorithm.rows[0]
+            cells = np.asarray(row.read(), dtype=np.int64)
+            mask = row.cmu.register.value_mask
+            merged = cells if merged is None else fold(law, merged, cells, mask)
+        return merged
+
     def merged_distribution(self, **kwargs) -> Dict[int, float]:
         """Flow-size distribution recovered from the *merged* MRAC row.
 
@@ -84,16 +96,7 @@ class NetworkTaskHandle:
         single switch observing the union traffic performs, so the result
         is exact, not a mixture of per-switch estimates.
         """
-        merged = None
-        mask = None
-        for handle in self.per_switch.values():
-            row = handle.algorithm.rows[0]
-            counters = np.asarray(row.read(), dtype=np.int64)
-            if merged is None:
-                merged = counters.copy()
-                mask = row.cmu.register.value_mask
-            else:
-                merged = (merged + counters) & mask
+        merged = self._merged_row(LAW_SUM)
         if merged is None:
             return {}
         return mrac_em(merged, len(merged), **kwargs)
@@ -103,34 +106,16 @@ class NetworkTaskHandle:
         return entropy_from_distribution(self.merged_distribution(**kwargs))
 
     def merged_cardinality(self) -> float:
-        """HLL merge across switches: element-wise maximum of the rank
-        arrays, so shared flows count once."""
-        merged = None
-        for handle in self.per_switch.values():
-            algo = handle.algorithm
-            ranks = _hll_ranks(algo)
-            merged = ranks if merged is None else np.maximum(merged, ranks)
-        return hll_estimate(merged) if merged is not None else 0.0
+        """HLL merge across switches: element-wise maximum of the stored
+        cells, then one rank extraction, so shared flows count once."""
+        merged = self._merged_row(LAW_MAX)
+        if merged is None:
+            return 0.0
+        return hll_estimate(FlyMonHll.ranks(merged))
 
     def reset(self) -> None:
         for handle in self.per_switch.values():
             handle.reset()
-
-
-def _hll_ranks(algo) -> np.ndarray:
-    """Extract the per-bucket HLL ranks from a FlyMon-HLL deployment."""
-    stored = algo.rows[0].read()
-    mask = (1 << algo.rho_bits) - 1
-    ranks = np.zeros(len(stored), dtype=np.int64)
-    for i, value in enumerate(stored):
-        if value == 0:
-            continue
-        min_hash = (~int(value)) & mask
-        if min_hash == 0:
-            ranks[i] = algo.rho_bits + 1
-        else:
-            ranks[i] = algo.rho_bits - min_hash.bit_length() + 1
-    return ranks
 
 
 class NetworkCoordinator:

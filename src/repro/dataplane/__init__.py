@@ -22,7 +22,8 @@ detail FlyMon's claims depend on:
 * :mod:`repro.dataplane.switch` -- a Tofino switch model, including the
   ``switch.p4`` baseline footprint used by Figure 13a.
 * :mod:`repro.dataplane.sharding` -- sharded parallel execution of the
-  batched datapath with exact register-state merging.
+  batched datapath with exact register-state merging by cell law, on the
+  persistent worker pool of :mod:`repro.dataplane.shard_pool`.
 """
 
 from repro.dataplane.hashing import DynamicHashUnit, HashFunction
@@ -33,7 +34,6 @@ from repro.dataplane.resources import STAGE_CAPACITY, ResourceVector
 from repro.dataplane.runtime import RuntimeApi
 from repro.dataplane.sharding import (
     GroupReplicaSpec,
-    ShardJournal,
     ShardRunReport,
     ShardingError,
     default_workers,
@@ -59,7 +59,6 @@ __all__ = [
     "ResourceVector",
     "RuntimeApi",
     "STAGE_CAPACITY",
-    "ShardJournal",
     "ShardRunReport",
     "ShardingError",
     "TableEntry",

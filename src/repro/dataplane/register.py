@@ -373,7 +373,7 @@ class Register:
     def snapshot_into(self, out: np.ndarray) -> None:
         """Copy the cells into a caller-provided native-dtype view.
 
-        The persistent shard runtime points ``out`` at a shared-memory
+        The persistent shard pool points ``out`` at a shared-memory
         window so worker register state crosses the process boundary as a
         single memcpy instead of a pickled array.
         """

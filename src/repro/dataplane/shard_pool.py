@@ -1,11 +1,11 @@
 """Persistent shard worker pool: resident replicas + shared-memory transport.
 
-The ephemeral shard model (:mod:`repro.dataplane.sharding`) pays a full
-replica rebuild and a pickle round-trip of every register array on *every*
-``process_trace`` call -- the dominant cost of the parallel path and of
-epoch rotation.  This module keeps a pool of long-lived ``fork`` workers
-whose :class:`~repro.core.cmu_group.CmuGroup` replicas stay resident across
-runs and across epoch rotations:
+The runtime behind :func:`repro.dataplane.sharding.run_sharded`.  A replica
+rebuild and a pickle round-trip of every register array per
+``process_trace`` call would dominate the parallel path and epoch
+rotation, so this module keeps a pool of long-lived ``fork`` workers whose
+:class:`~repro.core.cmu_group.CmuGroup` replicas stay resident across runs
+and across epoch rotations:
 
 * **control channel** -- a pipe per worker carries *deltas only*: the pool
   mirrors the live groups as :class:`GroupReplicaSpec` tuples and, when the
@@ -16,20 +16,17 @@ runs and across epoch rotations:
   per-worker anonymous ``mmap`` window (``FLYMON_SHARD_SHM_ROWS`` rows per
   round, column-major ``int64``), and register state comes *back* through a
   per-worker output window laid out register-by-register in native dtype.
-  Nothing on the hot path is pickled except journal records for
-  replay-law tasks.
+  Nothing on the hot path is pickled.
 * **epoch rotation** -- workers are *delta machines*: every run harvests
   registers into shared memory and zeroes them in place, so a freshly
   rotated epoch needs no worker-side work at all beyond a ``seal``
   acknowledgement.
 
-Shards are contiguous per worker (the same ranges the ephemeral model
-uses), each streamed through the input window in capacity-sized rounds, so
-journals, exports, and merge laws are bit-identical to the ephemeral path
-and a failed worker can be re-dispatched serially through the *existing*
-retry machinery (:func:`repro.dataplane.sharding._retry_serially`).  A dead
-or hung worker is terminated, its shard re-run serially, and the slot
-respawned from the mirror -- one bad worker never costs the run.
+Shards are contiguous per worker, each streamed through the input window
+in capacity-sized rounds, and a failed worker's shard is re-dispatched
+serially (:func:`repro.dataplane.sharding._retry_serially`).  A dead or hung
+worker is terminated, its shard re-run serially, and the slot respawned
+from the mirror -- one bad worker never costs the run.
 
 When ``fork`` is unavailable (spawn-only platforms, sandboxes) the pool
 degrades to a thread mode with resident per-slot replicas and records the
@@ -46,13 +43,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.dataplane.sharding import (
-    BACKEND_PROCESS,
-    BACKEND_THREAD,
     GroupReplicaSpec,
-    ShardJournal,
     ShardResult,
     ShardingError,
-    _accumulate_exports,
     _execute_injection,
     _plan_injection,
     _retry_serially,
@@ -68,6 +61,10 @@ from repro.traffic.batch import PacketBatch
 DEFAULT_SHM_ROWS = 1 << 16
 
 _MIN_SHM_ROWS = 64
+
+#: Pool modes, reported as ``ShardRunReport.backend``.
+BACKEND_PROCESS = "process"
+BACKEND_THREAD = "thread"
 
 
 class ShardPoolError(ShardingError):
@@ -144,12 +141,11 @@ def _apply_ops(groups_by_id: Dict[int, object], ops: Sequence[Tuple]) -> None:
 
 
 def _scrub(groups: Sequence) -> None:
-    """Zero a replica's run state after a failed run: registers, digests,
-    journal hookups.  Rules and masks are never touched by packet
-    processing, so the resident structure stays valid."""
+    """Zero a replica's run state after a failed run: registers and
+    digests.  Rules and masks are never touched by packet processing, so
+    the resident structure stays valid."""
     for group in groups:
         for cmu in group.cmus:
-            cmu.journal = None
             cmu._digests.clear()
             if cmu.task_plans():
                 cmu.register.reset()
@@ -172,14 +168,13 @@ def _pool_worker_main(
     forget):
 
     * ``("sync", ops)`` -> ``("ok",)`` -- apply rule deltas.
-    * ``("begin", start, stop, batch_size, tracked, collect, inject)`` --
-      arm a run over global rows ``[start, stop)``.
+    * ``("begin", start, batch_size, inject)`` -- arm a run whose shard
+      starts at global row ``start``.
     * ``("rows", lo, hi)`` -> ``("ok", compute_ms)`` -- process the rows the
       parent staged in the input window (global ``[lo, hi)``, a sub-range
       of the armed run).
-    * ``("harvest",)`` -> ``("ok", journal_records, exports, out_ms,
-      build_ms)`` -- snapshot every register into the output window, zero
-      it, and ship the pickled remainder (journal + exports).
+    * ``("harvest",)`` -> ``("ok", out_ms, build_ms)`` -- snapshot every
+      register into the output window and zero it.
     * ``("seal", epoch)`` -> ``("ok", epoch)`` -- epoch rotation barrier.
     * ``("stop",)`` -> ``("ok",)`` and exit.
     """
@@ -205,8 +200,6 @@ def _pool_worker_main(
         }
 
         ctx: Optional[dict] = None
-        journal: Optional[ShardJournal] = None
-        exports: Optional[Dict[str, np.ndarray]] = None
 
         while True:
             msg = conn.recv()
@@ -226,52 +219,37 @@ def _pool_worker_main(
                             {name: col[off:top] for name, col in in_cols.items()},
                             length=top - off,
                         )
-                        journal.offset = lo + off
                         for group in groups:
                             group.process_batch(batch)
-                        if exports is not None:
-                            _accumulate_exports(
-                                exports,
-                                batch,
-                                (lo - ctx["start"]) + off,
-                                ctx["stop"] - ctx["start"],
-                            )
                     conn.send(("ok", (time.perf_counter() - t0) * 1e3))
                 except Exception as exc:  # noqa: BLE001 - reported to parent
                     _scrub(groups)
-                    ctx = journal = exports = None
+                    ctx = None
                     conn.send(("err", f"{type(exc).__name__}: {exc}"))
             elif cmd == "begin":
-                _, start, stop, batch_size, tracked, collect, inject = msg
+                _, start, batch_size, inject = msg
                 ctx = {
                     "start": start,
-                    "stop": stop,
                     "batch_size": batch_size,
                     "inject": inject,
                 }
-                journal = ShardJournal(tracked)
-                for group in groups:
-                    for cmu in group.cmus:
-                        cmu.journal = journal
-                exports = {} if collect else None
             elif cmd == "harvest":
                 t0 = time.perf_counter()
                 try:
                     for group in groups:
                         for cmu in group.cmus:
-                            cmu.journal = None
                             cmu._digests.clear()
                             if cmu.task_plans():
                                 key = (group.group_id, cmu.index)
                                 cmu.register.snapshot_into(out_views[key])
                                 cmu.register.reset()
                     out_ms = (time.perf_counter() - t0) * 1e3
-                    conn.send(("ok", journal._records, exports, out_ms, build_ms))
+                    conn.send(("ok", out_ms, build_ms))
                     build_ms = 0.0
-                    ctx = journal = exports = None
+                    ctx = None
                 except Exception as exc:  # noqa: BLE001 - reported to parent
                     _scrub(groups)
-                    ctx = journal = exports = None
+                    ctx = None
                     conn.send(("err", f"{type(exc).__name__}: {exc}"))
             elif cmd == "sync":
                 try:
@@ -311,25 +289,19 @@ class _ProcWorker:
 class PersistentShardPool:
     """Long-lived shard workers with resident replicas (see module docs).
 
-    ``backend`` requests ``process`` (default) or ``thread`` mode; a
-    ``process`` request on a platform without ``fork`` degrades to thread
-    mode with the reason kept on :attr:`degraded_reason`.  The pool mirrors
-    the live ``groups`` it was built from -- callers flag mutations with
+    Workers are ``fork``ed processes; on a platform without ``fork`` (or
+    where worker processes fail to start) the pool runs in thread mode with
+    the reason kept on :attr:`degraded_reason`.  The pool mirrors the live
+    ``groups`` it was built from -- callers flag mutations with
     :meth:`mark_dirty` (the controller does this from every transactional
     mutator) and the next :meth:`sync` ships the delta to every worker.
     """
 
-    def __init__(self, groups, workers: int, backend: Optional[str] = None) -> None:
+    def __init__(self, groups, workers: int) -> None:
         if workers < 1:
             raise ShardPoolError("worker count must be >= 1")
-        backend = backend or BACKEND_PROCESS
-        if backend not in (BACKEND_PROCESS, BACKEND_THREAD):
-            raise ShardPoolError(
-                f"persistent pool backend must be process or thread, got {backend!r}"
-            )
         self._groups = groups
         self.workers = int(workers)
-        self.backend = backend
         self.closed = False
         self.degraded_reason: Optional[str] = None
         self.seals = 0
@@ -340,15 +312,14 @@ class PersistentShardPool:
         self._slots: List[List] = []
         self._procs: List[_ProcWorker] = []
 
-        mode = backend
-        if mode == BACKEND_PROCESS:
-            import multiprocessing as mp
+        import multiprocessing as mp
 
-            if "fork" not in mp.get_all_start_methods():
-                mode = BACKEND_THREAD
-                self.degraded_reason = (
-                    "fork start method unavailable; pool degraded to threads"
-                )
+        mode = BACKEND_PROCESS
+        if "fork" not in mp.get_all_start_methods():
+            mode = BACKEND_THREAD
+            self.degraded_reason = (
+                "fork start method unavailable; pool degraded to threads"
+            )
         if mode == BACKEND_PROCESS:
             try:
                 self._start_processes()
@@ -454,14 +425,6 @@ class PersistentShardPool:
             return [None] * self.workers
         return [worker.proc.pid for worker in self._procs]
 
-    def supports(self, trace) -> bool:
-        """Whether the shared input window can carry this trace's columns."""
-        if self.closed:
-            return False
-        if self.mode != BACKEND_PROCESS:
-            return True
-        return set(trace.columns) == set(self._fields)
-
     # -- delta sync ----------------------------------------------------------
 
     def mark_dirty(self) -> None:
@@ -522,15 +485,13 @@ class PersistentShardPool:
         trace,
         ranges: Sequence[Tuple[int, int]],
         batch_size: int,
-        tracked: Optional[frozenset],
-        collect_exports: bool,
     ) -> Tuple[List[ShardResult], str, Dict[str, object]]:
-        """Run one sharded pass; drop-in for ``sharding._dispatch``.
+        """Run one sharded pass over ``ranges`` (one shard per worker).
 
-        Returns ``(results, backend_used, stats)`` with the same stats
-        contract (``retries`` / ``timeouts`` / ``events`` / ``timings``
-        including ``_submit_pc``) so the caller's span grafting and report
-        assembly are shared with the ephemeral path.
+        Returns ``(results, mode, stats)`` with ``stats = {"retries",
+        "timeouts", "events", "timings"}``; each ``timings`` record carries
+        a private ``_submit_pc`` (raw ``perf_counter`` submit time) that the
+        caller strips after placing worker spans on the recorder timeline.
         """
         if self.closed:
             raise ShardPoolError("pool is closed")
@@ -556,8 +517,6 @@ class PersistentShardPool:
                 start,
                 stop,
                 batch_size,
-                tracked,
-                collect_exports,
                 inject,
             )
 
@@ -578,15 +537,13 @@ class PersistentShardPool:
 
         if self.mode == BACKEND_THREAD:
             self._execute_threads(
-                ranges, columns, batch_size, tracked, collect_exports,
-                results, submit_pc, dispatch_ms, compute_ms, transport_ms,
-                failed, stats,
+                ranges, columns, batch_size, results, submit_pc, dispatch_ms,
+                compute_ms, transport_ms, failed, stats,
             )
         else:
             self._execute_processes(
-                ranges, columns, batch_size, tracked, collect_exports,
-                results, submit_pc, dispatch_ms, build_ms, compute_ms,
-                transport_ms, failed, fail,
+                ranges, columns, batch_size, results, submit_pc, dispatch_ms,
+                build_ms, compute_ms, transport_ms, failed, fail,
             )
 
         for i, reason in sorted(failed.items()):
@@ -621,25 +578,21 @@ class PersistentShardPool:
         return results, self.mode, stats
 
     def _execute_processes(
-        self, ranges, columns, batch_size, tracked, collect_exports,
-        results, submit_pc, dispatch_ms, build_ms, compute_ms,
-        transport_ms, failed, fail,
+        self, ranges, columns, batch_size, results, submit_pc, dispatch_ms,
+        build_ms, compute_ms, transport_ms, failed, fail,
     ) -> None:
         count = len(ranges)
         timeout = shard_timeout()
         injections = [_plan_injection(i) for i in range(count)]
 
-        for i, (start, stop) in enumerate(ranges):
+        for i, (start, _stop) in enumerate(ranges):
             worker = self._procs[i]
             submit_pc[i] = time.perf_counter()
             if worker.dead:
                 fail(i, "worker process died")
                 continue
             try:
-                worker.conn.send(
-                    ("begin", start, stop, batch_size, tracked,
-                     collect_exports, injections[i])
-                )
+                worker.conn.send(("begin", start, batch_size, injections[i]))
             except (OSError, ValueError):
                 worker.dead = True
                 fail(i, "worker process died")
@@ -701,12 +654,9 @@ class PersistentShardPool:
             if msg[0] != "ok":
                 fail(i, msg[1])
                 continue
-            _, records, exports, out_ms, worker_build_ms = msg
-            journal = ShardJournal(tracked)
-            journal._records = records
-            start, stop = ranges[i]
+            _, out_ms, worker_build_ms = msg
             results[i] = ShardResult(
-                start, stop, self._out_views[i], journal, exports,
+                self._out_views[i],
                 build_ms=worker_build_ms, compute_ms=compute_ms[i],
             )
             build_ms[i] = worker_build_ms
@@ -714,9 +664,8 @@ class PersistentShardPool:
             dispatch_ms[i] = (time.perf_counter() - submit_pc[i]) * 1e3
 
     def _execute_threads(
-        self, ranges, columns, batch_size, tracked, collect_exports,
-        results, submit_pc, dispatch_ms, compute_ms, transport_ms,
-        failed, stats,
+        self, ranges, columns, batch_size, results, submit_pc, dispatch_ms,
+        compute_ms, transport_ms, failed, stats,
     ) -> None:
         from concurrent.futures import TimeoutError as FuturesTimeout
 
@@ -727,7 +676,7 @@ class PersistentShardPool:
             submit_pc[i] = time.perf_counter()
             futures[i] = self._executor.submit(
                 self._thread_run, self._slots[i], columns, start, stop,
-                batch_size, tracked, collect_exports, inject,
+                batch_size, inject,
             )
         stale = []
         for i, future in futures.items():
@@ -754,19 +703,9 @@ class PersistentShardPool:
                 self._slots[i] = [spec.build() for spec in self._mirror]
 
     @staticmethod
-    def _thread_run(
-        groups, columns, start, stop, batch_size, tracked, collect_exports,
-        inject,
-    ):
+    def _thread_run(groups, columns, start, stop, batch_size, inject):
         try:
             _execute_injection(inject, start)
-            journal = ShardJournal(tracked)
-            for group in groups:
-                for cmu in group.cmus:
-                    cmu.journal = journal
-            exports: Optional[Dict[str, np.ndarray]] = (
-                {} if collect_exports else None
-            )
             n = stop - start
             t0 = time.perf_counter()
             for off in range(0, n, batch_size):
@@ -778,17 +717,13 @@ class PersistentShardPool:
                     },
                     length=hi - off,
                 )
-                journal.offset = start + off
                 for group in groups:
                     group.process_batch(batch)
-                if exports is not None:
-                    _accumulate_exports(exports, batch, off, n)
             compute = (time.perf_counter() - t0) * 1e3
             t1 = time.perf_counter()
             cells: Dict[Tuple[int, int], np.ndarray] = {}
             for group in groups:
                 for cmu in group.cmus:
-                    cmu.journal = None
                     cmu._digests.clear()
                     if cmu.task_plans():
                         cells[(group.group_id, cmu.index)] = (
@@ -796,10 +731,7 @@ class PersistentShardPool:
                         )
                         cmu.register.reset()
             out_ms = (time.perf_counter() - t1) * 1e3
-            result = ShardResult(
-                start, stop, cells, journal, exports,
-                build_ms=0.0, compute_ms=compute,
-            )
+            result = ShardResult(cells, compute_ms=compute)
             return result, compute, out_ms
         except BaseException:
             _scrub(groups)
@@ -811,8 +743,7 @@ class PersistentShardPool:
         """Wait for one reply; raises :class:`_WorkerFailure` on death or
         deadline (terminating the worker so it cannot wedge the pipe).
 
-        The deadline is per reply, mirroring the ephemeral model's
-        per-shard future timeout."""
+        The deadline is per reply."""
         worker = self._procs[slot]
         deadline = None if timeout is None else time.perf_counter() + timeout
         while True:

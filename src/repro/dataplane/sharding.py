@@ -1,43 +1,25 @@
 """Sharded parallel execution of the batched datapath.
 
 CMU groups only couple through *forward* PHV chaining (§3.2), and row shards
-of a trace only couple through the registers they share.  This module
-exploits both: a :class:`~repro.traffic.trace.Trace` is split into
-contiguous row shards, each shard runs through a fresh per-worker replica of
-the deployed CMU groups (zeroed registers, identical rules and hash
-seeding), and the worker register states are merged back into the real data
-plane **exactly**:
+of a trace only couple through the registers they share.  When every
+installed row merges by a cell law (:mod:`repro.core.laws`: ``sum``,
+``max``, ``or``, ``xor``) and no row arms a data-plane alarm, a
+:class:`~repro.traffic.trace.Trace` is split into contiguous row shards,
+each shard streams through a resident replica of the deployed CMU groups in
+the persistent worker pool (:mod:`repro.dataplane.shard_pool`), and the
+workers' cells fold back into the live registers **exactly**, law by law.
 
-* **sum** -- an unarmed Cond-ADD whose ``p2`` is a constant covering the
-  whole bucket range never blocks an update, so each worker cell is the
-  modular sum of its shard's increments and the merge is
-  ``(base + sum(workers)) mod 2^w`` (CMS et al.).  Wrap-around commutes with
-  the sum; only a counter parking *exactly* on the all-ones value would
-  diverge, which is why the law requires >= 8-bit buckets;
-* **max** -- MAX registers merge by element-wise maximum (always exact);
-* **xor** -- XOR registers merge by element-wise XOR (always exact);
-* **or** -- an AND-OR task whose ``p2`` is a non-zero constant only ever
-  ORs, and OR-only mask composition degenerates to element-wise OR
-  (Bloom/coupon inserts);
-* **replay** -- everything else (finite-``p2`` Cond-ADD towers, mixed
-  AND-OR, and *every* alarm-armed task): workers journal the task's
-  post-sampling, post-preparation ``(row, index, p1, p2)`` stream -- which is
-  state-free once chained tasks are excluded -- and the merge replays the
-  concatenated journal through a scratch register seeded with the
-  coordinator's pre-run cells.  Replay reproduces the exact per-packet
-  results, so alarm digests are recomputed bit-identically.
+Every other deployment runs in-process, sequentially and batched, with the
+reason on :attr:`ShardRunReport.fallback`:
 
-Tasks whose parameters read *upstream CMU exports* (``ResultParam``,
-``MinResultsParam``, bloom-coupled inter-arrival) are inherently
-order-dependent across the whole trace; deployments containing one fall
-back to sequential batched execution with the reason recorded on the
-returned :class:`ShardRunReport`.
+* an alarm-armed row fires digests on per-packet results, which depend on
+  the order of the whole trace;
+* a row without a cell law (finite-``p2`` Cond-ADD towers, mixed AND-OR,
+  chained rows reading upstream exports) has no exact cell merge.
 
-Workers run in a ``concurrent.futures`` process pool (``fork`` when
-available) with automatic thread fallback; ``FLYMON_SHARD_BACKEND`` pins
-``process`` / ``thread`` / ``serial`` explicitly.  Inside a worker the
-groups are driven directly through ``CmuGroup.process_batch`` -- every stage
-hook is columnar, so no shard ever pays the scalar dict round-trip.
+Merging such rows by replaying their register inputs in the parent cost
+more than the parallel shards saved on every workload we measured, so the
+selection is made from the law table alone (see docs/BATCHING.md).
 """
 
 from __future__ import annotations
@@ -49,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dataplane.register import Register
+from repro.core.laws import MERGEABLE, cell_law, fold
 from repro.faults import (
     FAULTS,
     FaultError,
@@ -73,42 +55,9 @@ DEFAULT_SHARD_RETRIES = 2
 #: Sleep an injected ``shard_timeout`` fault uses when no argument is given.
 DEFAULT_INJECTED_SLEEP_S = 0.5
 
-#: Merge laws (per task): how worker register state folds into the base.
-LAW_SUM = "sum"
-LAW_MAX = "max"
-LAW_XOR = "xor"
-LAW_OR = "or"
-LAW_REPLAY = "replay"
-
-BACKEND_PROCESS = "process"
-BACKEND_THREAD = "thread"
-BACKEND_SERIAL = "serial"
-BACKENDS = (BACKEND_PROCESS, BACKEND_THREAD, BACKEND_SERIAL)
-
-#: Shard runtimes: ``ephemeral`` rebuilds replicas per call (the original
-#: fork/pickle model); ``persistent`` keeps a long-lived worker pool with
-#: resident replicas and shared-memory register transport.
-RUNTIME_EPHEMERAL = "ephemeral"
-RUNTIME_PERSISTENT = "persistent"
-RUNTIMES = (RUNTIME_EPHEMERAL, RUNTIME_PERSISTENT)
-
 
 class ShardingError(RuntimeError):
     """Raised for invalid sharded-execution configuration."""
-
-
-def shard_runtime(runtime: Optional[str] = None) -> str:
-    """Resolve the shard runtime: explicit arg > ``FLYMON_SHARD_RUNTIME`` >
-    ephemeral.  An explicit argument must be valid; the environment variable
-    is lenient (unknown values fall back to ephemeral)."""
-    if runtime is not None:
-        if runtime not in RUNTIMES:
-            raise ShardingError(
-                f"unknown shard runtime {runtime!r} (expected one of {RUNTIMES})"
-            )
-        return runtime
-    raw = os.environ.get("FLYMON_SHARD_RUNTIME", "").strip().lower()
-    return raw if raw in RUNTIMES else RUNTIME_EPHEMERAL
 
 
 def shard_timeout() -> Optional[float]:
@@ -165,74 +114,6 @@ def shard_ranges(total: int, workers: int) -> List[Tuple[int, int]]:
         ranges.append((start, stop))
         start = stop
     return ranges
-
-
-class ShardJournal:
-    """Per-shard record of tracked tasks' register-input streams.
-
-    Keyed by ``(group_id, cmu_index, task_id)``; each record holds the
-    *global* trace rows (shard offset applied) plus the translated bucket
-    indices and both parameters, post-sampling and post-preparation -- i.e.
-    exactly the arrays :meth:`Register.execute_batch` would consume.  The
-    merge concatenates shard journals in shard order and replays them, which
-    reproduces the sequential execution bit-for-bit because everything
-    upstream of the register is state-free for non-chained tasks.
-    """
-
-    __slots__ = ("tracked", "offset", "_records")
-
-    def __init__(self, tracked: Optional[frozenset] = None, offset: int = 0) -> None:
-        #: ``None`` tracks every task; else only keys in the set.
-        self.tracked = tracked
-        #: Global row index of the current batch's first row.
-        self.offset = offset
-        self._records: Dict[Tuple[int, int, int], list] = {}
-
-    def wants(self, group_id: int, cmu_index: int, task_id: int) -> bool:
-        return self.tracked is None or (group_id, cmu_index, task_id) in self.tracked
-
-    def record(
-        self,
-        group_id: int,
-        cmu_index: int,
-        task_id: int,
-        rows: np.ndarray,
-        index: np.ndarray,
-        p1: np.ndarray,
-        p2: np.ndarray,
-    ) -> None:
-        self._records.setdefault((group_id, cmu_index, task_id), []).append(
-            (
-                np.asarray(rows, dtype=np.int64) + self.offset,
-                np.asarray(index, dtype=np.int64),
-                np.asarray(p1, dtype=np.int64),
-                np.asarray(p2, dtype=np.int64),
-            )
-        )
-
-    def absorb(self, other: "ShardJournal") -> None:
-        """Append another journal's records (callers absorb in shard order)."""
-        for key, records in other._records.items():
-            self._records.setdefault(key, []).extend(records)
-
-    def entries(self, key: Tuple[int, int, int]):
-        """Concatenated ``(rows, index, p1, p2)`` for a task, or ``None``.
-
-        Entries come back in global-row order: shards are absorbed in shard
-        order and rows inside a shard are already monotonic, but persistent
-        pool workers interleave capacity-sized rounds, so a stable sort by
-        row restores the sequential stream when needed.
-        """
-        records = self._records.get(key)
-        if not records:
-            return None
-        rows, index, p1, p2 = (
-            np.concatenate(cols) for cols in zip(*records)
-        )
-        if rows.size > 1 and np.any(rows[1:] < rows[:-1]):
-            order = np.argsort(rows, kind="stable")
-            rows, index, p1, p2 = rows[order], index[order], p1[order], p2[order]
-        return rows, index, p1, p2
 
 
 @dataclass(frozen=True)
@@ -301,7 +182,7 @@ def replica_specs(groups: Sequence) -> List[GroupReplicaSpec]:
 
 @dataclass
 class ShardResult:
-    """One worker's output: final replica cells, journal, spliced exports.
+    """One worker's output: the shard's final replica cells.
 
     ``build_ms``/``compute_ms`` are measured *inside* the worker with raw
     ``perf_counter`` reads (the worker may live in another process, so it
@@ -309,22 +190,23 @@ class ShardResult:
     construction vs. the batch loop + register snapshot.
     """
 
-    start: int
-    stop: int
     cells: Dict[Tuple[int, int], np.ndarray]
-    journal: ShardJournal
-    exports: Optional[Dict[str, np.ndarray]]
     build_ms: float = 0.0
     compute_ms: float = 0.0
 
 
 @dataclass
 class ShardRunReport:
-    """What a sharded run did: backend, merge laws, fallback, exports.
+    """What a sharded run did: pool mode, merge laws, fallback, recovery.
+
+    ``backend`` is the pool mode that ran the shards (``process`` or
+    ``thread``), or ``sequential`` when ``fallback`` says why the run stayed
+    in-process.  ``merge_laws`` maps every ``(group, cmu, task)`` row to its
+    cell law.
 
     ``retries`` counts serial re-dispatches of crashed or hung shards,
-    ``timeouts`` how many shard futures exceeded the per-shard deadline,
-    and ``shard_events`` carries one record per recovery action
+    ``timeouts`` how many shards exceeded the per-shard deadline, and
+    ``shard_events`` carries one record per recovery action
     (``{"shard": i, "attempt": n, "reason": ..., "elapsed_ms": ...}``) so
     callers can audit what degraded and what the recovery cost.
 
@@ -332,25 +214,18 @@ class ShardRunReport:
     ``{"shard", "rows", "dispatch_ms", "build_ms", "compute_ms",
     "transport_ms", "retried", "retries", "retry_ms"}`` -- where
     ``dispatch_ms`` is the dispatcher-observed submit-to-result wall,
-    ``build_ms``/``compute_ms`` are the worker's own measurements, and
-    ``transport_ms`` is the remainder (pickling, queueing, result
-    transport; clamped at zero).  Under the **persistent** runtime
-    ``transport_ms`` is instead *measured* copy cost -- the dispatcher's
-    write of packet columns into the worker's shared-memory input window
-    plus the worker's register snapshot into its output window -- and
     ``build_ms`` is non-zero only on the run that (re)built a resident
-    replica.  ``timing`` aggregates the run's phases:
-    ``plan_ms`` (law selection, replica specs, base snapshots),
-    ``sync_ms`` (persistent runtime only: shipping rule deltas to the
-    pool), ``dispatch_ms`` (submit to last result), ``merge_ms`` (export
-    splice + journal replay + register fold), ``total_ms``.  Both are
-    always populated -- they do not require the flight recorder to be
-    enabled.
+    replica, ``compute_ms`` is the worker's batch loop, and
+    ``transport_ms`` is measured copy cost (packet columns into the
+    worker's shared-memory input window plus its register snapshot out).
+    ``timing`` aggregates the run's phases: ``plan_ms`` (law selection,
+    base snapshots), ``sync_ms`` (shipping rule deltas to the pool),
+    ``dispatch_ms`` (submit to last result), ``merge_ms`` (register fold),
+    ``total_ms``.  Both are always populated -- they do not require the
+    flight recorder to be enabled.
 
-    ``runtime`` records which shard runtime actually executed the run and
-    ``degraded`` carries the reason when a persistent-runtime request had
-    to degrade (e.g. ``fork`` unavailable -> thread-mode pool, or no pool
-    attached -> ephemeral dispatch).
+    ``degraded`` carries the pool's reason when it could not run in
+    process mode (``fork`` unavailable -> thread-mode pool).
     """
 
     packets: int
@@ -359,26 +234,12 @@ class ShardRunReport:
     backend: str
     fallback: Optional[str]
     merge_laws: Dict[Tuple[int, int, int], str]
-    exports: Optional[Dict[str, np.ndarray]] = None
     retries: int = 0
     timeouts: int = 0
     shard_events: List[Dict[str, object]] = field(default_factory=list)
     shard_timings: List[Dict[str, object]] = field(default_factory=list)
     timing: Dict[str, float] = field(default_factory=dict)
-    runtime: str = RUNTIME_EPHEMERAL
     degraded: Optional[str] = None
-
-
-def _accumulate_exports(acc: Dict[str, np.ndarray], batch, offset: int, total: int) -> None:
-    """Fold a processed batch's PHV export columns into full-length arrays."""
-    n = len(batch)
-    for name in batch.column_names:
-        if not name.startswith("_cmu_"):
-            continue
-        col = acc.get(name)
-        if col is None:
-            col = acc[name] = np.zeros(total, dtype=np.int64)
-        col[offset : offset + n] = batch.get(name)
 
 
 def _execute_injection(inject: Optional[Tuple], start: int) -> None:
@@ -386,7 +247,7 @@ def _execute_injection(inject: Optional[Tuple], start: int) -> None:
 
     ``("crash", "kill", pid)`` hard-exits the worker *process* (downgraded
     to an exception when the worker shares the dispatcher's process, i.e.
-    thread/serial backends); any other crash argument raises
+    thread mode and serial retries); any other crash argument raises
     :class:`~repro.faults.FaultError`.  ``("timeout", seconds, pid)``
     sleeps so the dispatcher's per-shard deadline expires.
     """
@@ -411,110 +272,42 @@ def _run_shard(
     start: int,
     stop: int,
     batch_size: int,
-    tracked: Optional[frozenset],
-    collect_exports: bool,
     inject: Optional[Tuple] = None,
 ) -> ShardResult:
-    """Worker body: build replicas, stream the shard, snapshot the state.
+    """Serial shard body: build fresh replicas, stream the shard, snapshot.
 
-    Module-level and driven purely by picklable arguments so it runs
-    unchanged under process pools, thread pools, and in-line execution.
+    The pool's recovery path: a shard whose worker crashed or hung is
+    re-run here, in the dispatcher, from the pool's replica mirror.
     """
     _execute_injection(inject, start)
     t_build = time.perf_counter()
     groups = [spec.build() for spec in specs]
     build_ms = (time.perf_counter() - t_build) * 1e3
-    journal = ShardJournal(tracked)
-    for group in groups:
-        for cmu in group.cmus:
-            cmu.journal = journal
     n = stop - start
-    exports: Optional[Dict[str, np.ndarray]] = {} if collect_exports else None
     t_compute = time.perf_counter()
     for off in range(0, n, batch_size):
         hi = min(off + batch_size, n)
         batch = PacketBatch(
             {name: col[off:hi] for name, col in columns.items()}, length=hi - off
         )
-        journal.offset = start + off
         for group in groups:
             group.process_batch(batch)
-        if exports is not None:
-            _accumulate_exports(exports, batch, off, n)
     cells: Dict[Tuple[int, int], np.ndarray] = {}
     for group in groups:
         for cmu in group.cmus:
-            cmu.journal = None
             if cmu.task_plans():
                 cells[(group.group_id, cmu.index)] = cmu.register.snapshot_cells()
     compute_ms = (time.perf_counter() - t_compute) * 1e3
-    return ShardResult(
-        start, stop, cells, journal, exports,
-        build_ms=build_ms, compute_ms=compute_ms,
-    )
-
-
-def _is_chained(config) -> bool:
-    """Whether a task's inputs depend on upstream CMU exports (PHV chaining),
-    which makes its register stream state-dependent and non-shardable."""
-    from repro.core.params import InterarrivalProcessor, MinResultsParam, ResultParam
-
-    if isinstance(config.p1, (ResultParam, MinResultsParam)):
-        return True
-    if isinstance(config.p2, (ResultParam, MinResultsParam)):
-        return True
-    processor = config.p1_processor
-    if isinstance(processor, InterarrivalProcessor) and processor.bloom_group >= 0:
-        return True
-    return False
-
-
-def _merge_law(plan, bucket_bits: int, value_mask: int) -> str:
-    """Pick the cheapest exact merge law for one task (see module docs)."""
-    from repro.core.operations import OP_AND_OR, OP_COND_ADD, OP_MAX, OP_XOR
-    from repro.core.params import ConstParam
-
-    config = plan.config
-    if plan.alarm_armed:
-        # Alarms fire on state-dependent results; only replay reproduces the
-        # exact digest stream.
-        return LAW_REPLAY
-    if config.op == OP_MAX:
-        return LAW_MAX
-    if config.op == OP_XOR:
-        return LAW_XOR
-    if config.op == OP_COND_ADD:
-        if (
-            isinstance(config.p2, ConstParam)
-            and (config.p2.constant & value_mask) == value_mask
-            and bucket_bits >= 8
-        ):
-            return LAW_SUM
-        return LAW_REPLAY
-    if config.op == OP_AND_OR:
-        if isinstance(config.p2, ConstParam) and (config.p2.constant & value_mask):
-            return LAW_OR
-        return LAW_REPLAY
-    return LAW_REPLAY
-
-
-def _resolve_backend(backend: Optional[str]) -> str:
-    if backend is None:
-        backend = os.environ.get("FLYMON_SHARD_BACKEND", "").strip() or BACKEND_PROCESS
-    if backend not in BACKENDS:
-        raise ShardingError(
-            f"unknown shard backend {backend!r} (expected one of {BACKENDS})"
-        )
-    return backend
+    return ShardResult(cells, build_ms=build_ms, compute_ms=compute_ms)
 
 
 def _plan_injection(shard_index: int) -> Optional[Tuple]:
     """Parent-side fault planning for one shard dispatch.
 
     The deterministic hit counter lives in the *dispatcher's* injector, so
-    ``shard_crash@2`` fails exactly the second shard regardless of backend
-    -- and, one-shot arms disarming on fire, the serial re-dispatch of that
-    shard succeeds.  Workers never trip shard sites themselves.
+    ``shard_crash@2`` fails exactly the second shard regardless of pool
+    mode -- and, one-shot arms disarming on fire, the serial re-dispatch of
+    that shard succeeds.  Workers never trip shard sites themselves.
     """
     if not FAULTS.armed:
         return None
@@ -566,174 +359,28 @@ def _retry_serially(
     ) from last
 
 
-def _dispatch(
-    specs: Sequence[GroupReplicaSpec],
-    columns: Dict[str, np.ndarray],
-    ranges: Sequence[Tuple[int, int]],
-    batch_size: int,
-    tracked: Optional[frozenset],
-    collect_exports: bool,
-    backend: str,
-) -> Tuple[List[ShardResult], str, Dict[str, object]]:
-    """Run every shard, in shard order, on the requested backend.
-
-    A process pool that cannot *start* (sandboxes, fork restrictions)
-    degrades to threads.  An individual shard that crashes, kills its
-    worker, or exceeds the per-shard timeout is re-dispatched on the serial
-    path with bounded retries, so one bad worker costs its shard's
-    parallelism -- never the run.  Returns ``(results, backend_used,
-    stats)`` with ``stats = {"retries", "timeouts", "events", "timings"}``;
-    ``timings`` holds one phase-attributed record per shard (see
-    :attr:`ShardRunReport.shard_timings`) plus a private ``_submit_pc``
-    (raw ``perf_counter`` submit time) that the caller strips after
-    placing synthetic spans on the flight-recorder timeline.
-    """
-    stats: Dict[str, object] = {
-        "retries": 0, "timeouts": 0, "events": [], "timings": []
-    }
-    dispatch_ms: Dict[int, float] = {}
-    submit_pc: Dict[int, float] = {}
-
-    def payload(i: int, inject: Optional[Tuple]) -> tuple:
-        start, stop = ranges[i]
-        return (
-            specs,
-            {name: col[start:stop] for name, col in columns.items()},
-            start,
-            stop,
-            batch_size,
-            tracked,
-            collect_exports,
-            inject,
-        )
-
-    count = len(ranges)
-    results: List[Optional[ShardResult]] = [None] * count
-    timeout = shard_timeout()
-
-    def finish(backend_used: str):
-        """Assemble per-shard timing records once every result is in."""
-        for i, result in enumerate(results):
-            events = [e for e in stats["events"] if e["shard"] == i]
-            observed = dispatch_ms.get(i, 0.0)
-            stats["timings"].append(
-                {
-                    "shard": i,
-                    "rows": result.stop - result.start,
-                    "dispatch_ms": observed,
-                    "build_ms": result.build_ms,
-                    "compute_ms": result.compute_ms,
-                    "transport_ms": max(
-                        0.0, observed - result.build_ms - result.compute_ms
-                    ),
-                    "retried": bool(events),
-                    "retries": len(events),
-                    "retry_ms": sum(e.get("elapsed_ms", 0.0) for e in events),
-                    "_submit_pc": submit_pc.get(i),
-                }
-            )
-        return results, backend_used, stats
-
-    if backend == BACKEND_SERIAL or count <= 1:
-        for i in range(count):
-            submit_pc[i] = t0 = time.perf_counter()
-            try:
-                results[i] = _run_shard(*payload(i, _plan_injection(i)))
-            except Exception as exc:  # noqa: BLE001 - recovered below
-                dispatch_ms[i] = (time.perf_counter() - t0) * 1e3
-                results[i] = _retry_serially(
-                    lambda i=i: payload(i, _plan_injection(i)),
-                    i,
-                    f"{type(exc).__name__}: {exc}",
-                    stats,
-                )
-            else:
-                dispatch_ms[i] = (time.perf_counter() - t0) * 1e3
-        return finish(BACKEND_SERIAL)
-
-    failed: Dict[int, str] = {}
-    if backend == BACKEND_PROCESS:
-        try:
-            import multiprocessing as mp
-            from concurrent.futures import (
-                ProcessPoolExecutor,
-                TimeoutError as FuturesTimeout,
-            )
-            from concurrent.futures.process import BrokenProcessPool
-
-            context = (
-                mp.get_context("fork")
-                if "fork" in mp.get_all_start_methods()
-                else mp.get_context()
-            )
-            pool = ProcessPoolExecutor(max_workers=count, mp_context=context)
-            try:
-                futures = []
-                for i in range(count):
-                    submit_pc[i] = time.perf_counter()
-                    futures.append(
-                        pool.submit(_run_shard, *payload(i, _plan_injection(i)))
+def _plan(groups) -> Tuple[Dict[Tuple[int, int, int], str], List[str]]:
+    """Every row's cell law, plus the rows that keep the run sequential."""
+    laws: Dict[Tuple[int, int, int], str] = {}
+    blocked: List[str] = []
+    for group in groups:
+        for cmu in group.cmus:
+            for task_id, plan in cmu.task_plans().items():
+                law = cell_law(plan, cmu.bucket_bits, cmu.register.value_mask)
+                laws[(group.group_id, cmu.index, task_id)] = law
+                if plan.alarm_armed or law not in MERGEABLE:
+                    why = "alarm" if plan.alarm_armed else f"law {law}"
+                    blocked.append(
+                        f"cmug{group.group_id}/cmu{cmu.index}/task{task_id} ({why})"
                     )
-            except BaseException:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            for i, future in enumerate(futures):
-                try:
-                    results[i] = future.result(timeout=timeout)
-                except FuturesTimeout:
-                    stats["timeouts"] += 1
-                    failed[i] = "shard timed out"
-                except BrokenProcessPool:
-                    failed[i] = "worker process died"
-                except Exception as exc:  # noqa: BLE001 - recovered below
-                    failed[i] = f"{type(exc).__name__}: {exc}"
-                dispatch_ms[i] = (time.perf_counter() - submit_pc[i]) * 1e3
-            # Never block on a hung/killed worker during cleanup.
-            pool.shutdown(wait=False, cancel_futures=True)
-            for i, reason in failed.items():
-                results[i] = _retry_serially(
-                    lambda i=i: payload(i, _plan_injection(i)), i, reason, stats
-                )
-            return finish(BACKEND_PROCESS)
-        except (OSError, PermissionError):
-            backend = BACKEND_THREAD
-            failed.clear()
-            dispatch_ms.clear()
-            submit_pc.clear()
-    from concurrent.futures import (
-        ThreadPoolExecutor,
-        TimeoutError as FuturesTimeout,
-    )
-
-    pool = ThreadPoolExecutor(max_workers=count)
-    futures = []
-    for i in range(count):
-        submit_pc[i] = time.perf_counter()
-        futures.append(pool.submit(_run_shard, *payload(i, _plan_injection(i))))
-    for i, future in enumerate(futures):
-        try:
-            results[i] = future.result(timeout=timeout)
-        except FuturesTimeout:
-            stats["timeouts"] += 1
-            failed[i] = "shard timed out"
-        except Exception as exc:  # noqa: BLE001 - recovered below
-            failed[i] = f"{type(exc).__name__}: {exc}"
-        dispatch_ms[i] = (time.perf_counter() - submit_pc[i]) * 1e3
-    pool.shutdown(wait=False, cancel_futures=True)
-    for i, reason in failed.items():
-        results[i] = _retry_serially(
-            lambda i=i: payload(i, _plan_injection(i)), i, reason, stats
-        )
-    return finish(BACKEND_THREAD)
+    return laws, blocked
 
 
 def _sequential(
-    groups, trace, batch_size: int, collect_exports: bool, reason: str, workers: int
+    groups, trace, batch_size: int, reason: str, workers: int, laws
 ) -> ShardRunReport:
-    """Single-pipeline batched fallback (still collects exports on request)."""
+    """In-process batched execution for deployments the pool cannot merge."""
     n = len(trace)
-    exports: Optional[Dict[str, np.ndarray]] = {} if collect_exports else None
-    offset = 0
     t0 = time.perf_counter()
     with _RECORDER.span(
         "shard.sequential", cat="dataplane", packets=n, reason=reason
@@ -741,9 +388,6 @@ def _sequential(
         for batch in trace.iter_batches(batch_size):
             for group in groups:
                 group.process_batch(batch)
-            if exports is not None:
-                _accumulate_exports(exports, batch, offset, n)
-            offset += len(batch)
     total_ms = (time.perf_counter() - t0) * 1e3
     return ShardRunReport(
         packets=n,
@@ -751,8 +395,7 @@ def _sequential(
         shards=0,
         backend="sequential",
         fallback=reason,
-        merge_laws={},
-        exports=exports,
+        merge_laws=laws,
         timing={
             "plan_ms": 0.0,
             "sync_ms": 0.0,
@@ -766,89 +409,79 @@ def _sequential(
 def _merge_into(
     groups,
     base: Dict[Tuple[int, int], np.ndarray],
-    journal: ShardJournal,
     shard_results: Sequence[ShardResult],
     laws: Dict[Tuple[int, int, int], str],
-    trace,
-    exports: Optional[Dict[str, np.ndarray]],
 ) -> None:
-    """Fold worker register state back into the live CMUs, law by law.
-
-    Replayed tasks also recompute their alarm digests (into the live CMU's
-    digest queues) and, when export collection is on, scatter their exact
-    per-packet results into the spliced export columns.
-    """
-    from repro.core.cmu import Cmu
-    from repro.core.operations import load_reduced_operation_set
-    from repro.core.params import param_field, result_field
-
-    full_batch = None
+    """Fold worker cells into the live registers, row window by row window."""
     for group in groups:
         for cmu in group.cmus:
-            plans = cmu.task_plans()
-            if not plans:
-                continue
             location = (group.group_id, cmu.index)
-            base_cells = base[location]
-            worker_cells = [result.cells[location] for result in shard_results]
+            if location not in base:
+                continue
+            merged = base[location].copy()
             mask = cmu.register.value_mask
-            merged = base_cells.copy()
-            scratch = None
-            for task_id, plan in plans.items():
-                config = plan.config
+            for task_id, plan in cmu.task_plans().items():
                 law = laws[(group.group_id, cmu.index, task_id)]
-                window = slice(config.mem.base, config.mem.end)
-                if law == LAW_SUM:
-                    acc = base_cells[window].copy()
-                    for cells in worker_cells:
-                        acc += cells[window]
-                    merged[window] = acc & mask
-                elif law == LAW_MAX:
-                    acc = base_cells[window]
-                    for cells in worker_cells:
-                        acc = np.maximum(acc, cells[window])
-                    merged[window] = acc
-                elif law == LAW_XOR:
-                    acc = base_cells[window].copy()
-                    for cells in worker_cells:
-                        acc ^= cells[window]
-                    merged[window] = acc
-                elif law == LAW_OR:
-                    acc = base_cells[window].copy()
-                    for cells in worker_cells:
-                        acc |= cells[window]
-                    merged[window] = acc
-                else:  # LAW_REPLAY
-                    entry = journal.entries((group.group_id, cmu.index, task_id))
-                    if entry is None:
-                        continue  # no packet matched the task; base state holds
-                    if scratch is None:
-                        scratch = Register(cmu.register.size, cmu.register.bit_width)
-                        load_reduced_operation_set(scratch)
-                        scratch.load_cells(base_cells)
-                    rows, index, p1, p2 = entry
-                    results = scratch.execute_batch(config.op, index, p1, p2)
-                    merged[window] = scratch.read_range(config.mem.base, config.mem.length)
-                    if plan.alarm_armed:
-                        hits = rows[results >= config.alarm_threshold]
-                        if hits.size:
-                            if full_batch is None:
-                                full_batch = trace.as_batch()
-                            keys = Cmu._digest_key_rows(
-                                config.digest_key, full_batch, hits
-                            )
-                            cmu._digests.setdefault(task_id, set()).update(
-                                map(tuple, keys.tolist())
-                            )
-                    if exports is not None:
-                        total = len(trace)
-                        name = result_field(group.group_id, cmu.index)
-                        column = exports.setdefault(name, np.zeros(total, dtype=np.int64))
-                        column[rows] = results
-                        name = param_field(group.group_id, cmu.index)
-                        column = exports.setdefault(name, np.zeros(total, dtype=np.int64))
-                        column[rows] = p1
+                window = slice(plan.config.mem.base, plan.config.mem.end)
+                for result in shard_results:
+                    merged[window] = fold(
+                        law, merged[window], result.cells[location][window], mask
+                    )
             cmu.register.load_cells(merged)
+
+
+def _graft_worker_spans(timings: List[Dict[str, object]], parent_id) -> None:
+    """Place per-shard worker spans on the recorder timeline.
+
+    Workers may live in other processes, so the dispatcher adds synthetic
+    spans from the floats each shard reported: one ``shard.worker`` per
+    shard (submit-to-result wall, plus serial retry time), with build /
+    compute / transport / retry children laid out from the submit instant.
+    Strips the private ``_submit_pc`` field from every record.
+    """
+    for record in timings:
+        submit = record.pop("_submit_pc", None)
+        if not _RECORDER.enabled or submit is None:
+            continue
+        start = _RECORDER.rel_us(submit)
+        worker_id = _RECORDER.add(
+            "shard.worker",
+            record["dispatch_ms"] + record["retry_ms"],
+            parent_id=parent_id,
+            start_us=start,
+            cat="dataplane",
+            shard=record["shard"],
+            rows=record["rows"],
+            retried=record["retried"],
+        )
+        offset_us = start
+        for child, key in (
+            ("shard.build", "build_ms"),
+            ("shard.compute", "compute_ms"),
+            ("shard.transport", "transport_ms"),
+        ):
+            ms = record[key]
+            if ms <= 0.0:
+                continue
+            _RECORDER.add(
+                child,
+                ms,
+                parent_id=worker_id,
+                start_us=offset_us,
+                cat="dataplane",
+                shard=record["shard"],
+            )
+            offset_us += ms * 1e3
+        if record["retry_ms"] > 0.0:
+            _RECORDER.add(
+                "shard.retry",
+                record["retry_ms"],
+                parent_id=worker_id,
+                start_us=offset_us,
+                cat="dataplane",
+                shard=record["shard"],
+                retries=record["retries"],
+            )
 
 
 def run_sharded(
@@ -856,210 +489,82 @@ def run_sharded(
     trace,
     workers: int,
     batch_size: Optional[int] = None,
-    backend: Optional[str] = None,
-    collect_exports: bool = False,
-    exact_exports: bool = False,
-    runtime: Optional[str] = None,
-    pool=None,
+    pool: Optional[Callable[[int], object]] = None,
 ) -> ShardRunReport:
-    """Replay ``trace`` through ``groups`` using sharded parallel execution.
+    """Replay ``trace`` through ``groups`` over ``workers`` parallel shards.
 
-    Register state, digests, and (for replayed tasks) PHV exports end up
-    bit-identical to a sequential replay.  ``exact_exports=True`` forces
-    *every* task onto the replay law so the returned export columns are
-    exact for all tasks -- a verification mode that trades the parallel
-    speedup for full per-packet output.
+    Register state and digests end up bit-identical to a sequential batched
+    replay.  A deployment with an alarm-armed row or a row without a cell
+    law runs sequentially in-process instead; ``fallback`` on the report
+    names the rows and no pool is started.
 
-    ``runtime`` selects between the ephemeral model (fresh replicas per
-    call) and the persistent model, which dispatches through ``pool`` -- a
-    :class:`~repro.dataplane.shard_pool.PersistentShardPool` whose resident
-    replicas are delta-synced before the run.  A persistent request without
-    a usable pool degrades to the ephemeral path with the reason recorded
-    on ``ShardRunReport.degraded``; it never fails the run.
-
-    Deployments with chained tasks (parameters reading upstream CMU exports)
-    fall back to sequential batched execution; the report's ``fallback``
-    field carries the reason.
+    ``pool(workers)`` returns the
+    :class:`~repro.dataplane.shard_pool.PersistentShardPool` to dispatch
+    through (the controller passes its resident pool); by default a pool is
+    started for this run and closed after it.
     """
-    if exact_exports:
-        collect_exports = True
+    from repro.dataplane.shard_pool import PersistentShardPool
+
     if batch_size is None or batch_size <= 0:
         batch_size = DEFAULT_SHARD_BATCH
     workers = max(1, int(workers))
-    runtime = shard_runtime(runtime)
     n = len(trace)
     t_run = time.perf_counter()
 
-    plans: Dict[Tuple[int, int, int], tuple] = {}
-    for group in groups:
-        for cmu in group.cmus:
-            for task_id, plan in cmu.task_plans().items():
-                plans[(group.group_id, cmu.index, task_id)] = (cmu, plan)
-    chained = sorted(
-        key for key, (_, plan) in plans.items() if _is_chained(plan.config)
-    )
-    if chained:
-        described = ", ".join(
-            f"cmug{g}/cmu{c}/task{t}" for g, c, t in chained[:4]
-        ) + ("..." if len(chained) > 4 else "")
+    laws, blocked = _plan(groups)
+    if n == 0:
+        return _sequential(groups, trace, batch_size, "empty trace", workers, laws)
+    if blocked:
+        described = ", ".join(blocked[:4]) + ("..." if len(blocked) > 4 else "")
         return _sequential(
             groups,
             trace,
             batch_size,
-            collect_exports,
-            f"chained tasks read upstream exports ({described})",
+            f"rows without an exact cell merge: {described}",
             workers,
-        )
-    if n == 0:
-        return _sequential(
-            groups, trace, batch_size, collect_exports, "empty trace", workers
+            laws,
         )
 
+    owned = pool is None
     with _RECORDER.span("shard.run", cat="dataplane", packets=n, workers=workers):
-        t_plan = time.perf_counter()
         with _RECORDER.span("shard.plan", cat="dataplane"):
-            laws = {
-                key: (
-                    LAW_REPLAY
-                    if exact_exports
-                    else _merge_law(plan, cmu.bucket_bits, cmu.register.value_mask)
-                )
-                for key, (cmu, plan) in plans.items()
-            }
-            tracked = (
-                None
-                if exact_exports
-                else frozenset(key for key, law in laws.items() if law == LAW_REPLAY)
-            )
-
             base = {
                 (group.group_id, cmu.index): cmu.register.snapshot_cells()
                 for group in groups
                 for cmu in group.cmus
                 if cmu.task_plans()
             }
-            specs = replica_specs(groups)
             ranges = shard_ranges(n, workers)
-        plan_ms = (time.perf_counter() - t_plan) * 1e3
+        plan_ms = (time.perf_counter() - t_run) * 1e3
 
-        resolved_backend = _resolve_backend(backend)
-        degraded: Optional[str] = None
-        use_pool = False
-        if runtime == RUNTIME_PERSISTENT:
-            if resolved_backend == BACKEND_SERIAL:
-                degraded = "serial backend runs in-process; pool not engaged"
-            elif pool is None or getattr(pool, "closed", False):
-                degraded = "no worker pool attached; ephemeral dispatch"
-            elif pool.workers < len(ranges):
-                degraded = (
-                    f"pool sized for {pool.workers} workers, run needs "
-                    f"{len(ranges)}; ephemeral dispatch"
-                )
-            elif not pool.supports(trace):
-                degraded = (
-                    "trace columns do not fit the pool's shared-memory "
-                    "layout; ephemeral dispatch"
-                )
+        t_sync = time.perf_counter()
+        with _RECORDER.span("shard.sync", cat="dataplane"):
+            if owned:
+                shard_pool = PersistentShardPool(groups, workers)
             else:
-                use_pool = True
+                shard_pool = pool(workers)
+            shard_pool.sync()
+        sync_ms = (time.perf_counter() - t_sync) * 1e3
 
-        sync_ms = 0.0
-        if use_pool:
-            t_sync = time.perf_counter()
-            with _RECORDER.span("shard.sync", cat="dataplane"):
-                pool.sync()
-            sync_ms = (time.perf_counter() - t_sync) * 1e3
-
-        t_dispatch = time.perf_counter()
-        with _RECORDER.span(
-            "shard.dispatch", cat="dataplane", shards=len(ranges)
-        ) as dispatch_sp:
-            if use_pool:
-                shard_results, backend_used, dispatch_stats = pool.execute(
-                    trace, ranges, batch_size, tracked, collect_exports
+        try:
+            t_dispatch = time.perf_counter()
+            with _RECORDER.span(
+                "shard.dispatch", cat="dataplane", shards=len(ranges)
+            ) as dispatch_sp:
+                shard_results, backend_used, stats = shard_pool.execute(
+                    trace, ranges, batch_size
                 )
-                degraded = pool.degraded_reason
-            else:
-                shard_results, backend_used, dispatch_stats = _dispatch(
-                    specs,
-                    trace.columns,
-                    ranges,
-                    batch_size,
-                    tracked,
-                    collect_exports,
-                    resolved_backend,
-                )
-        dispatch_total_ms = (time.perf_counter() - t_dispatch) * 1e3
+            dispatch_ms = (time.perf_counter() - t_dispatch) * 1e3
+            timings: List[Dict[str, object]] = stats["timings"]
+            _graft_worker_spans(timings, dispatch_sp.span_id)
 
-        # Graft worker-side timings onto the recorder timeline.  Workers may
-        # live in other processes, so the dispatcher places synthetic spans
-        # from the floats each ShardResult carried back: one ``shard.worker``
-        # per shard (submit-to-result wall, plus serial retry time), with
-        # build / compute / transport / retry children laid out sequentially
-        # from the recorded submit instant.
-        timings: List[Dict[str, object]] = dispatch_stats["timings"]
-        for record in timings:
-            submit = record.pop("_submit_pc", None)
-            if not _RECORDER.enabled or submit is None:
-                continue
-            start = _RECORDER.rel_us(submit)
-            worker_wall = record["dispatch_ms"] + record["retry_ms"]
-            worker_id = _RECORDER.add(
-                "shard.worker",
-                worker_wall,
-                parent_id=dispatch_sp.span_id,
-                start_us=start,
-                cat="dataplane",
-                shard=record["shard"],
-                rows=record["rows"],
-                retried=record["retried"],
-            )
-            offset_us = start
-            for child, key in (
-                ("shard.build", "build_ms"),
-                ("shard.compute", "compute_ms"),
-                ("shard.transport", "transport_ms"),
-            ):
-                ms = record[key]
-                if ms <= 0.0:
-                    continue
-                _RECORDER.add(
-                    child,
-                    ms,
-                    parent_id=worker_id,
-                    start_us=offset_us,
-                    cat="dataplane",
-                    shard=record["shard"],
-                )
-                offset_us += ms * 1e3
-            if record["retry_ms"] > 0.0:
-                _RECORDER.add(
-                    "shard.retry",
-                    record["retry_ms"],
-                    parent_id=worker_id,
-                    start_us=offset_us,
-                    cat="dataplane",
-                    shard=record["shard"],
-                    retries=record["retries"],
-                )
-
-        t_merge = time.perf_counter()
-        with _RECORDER.span("shard.merge", cat="dataplane"):
-            exports: Optional[Dict[str, np.ndarray]] = None
-            if collect_exports:
-                exports = {}
-                for result in shard_results:
-                    for name, arr in (result.exports or {}).items():
-                        column = exports.get(name)
-                        if column is None:
-                            column = exports[name] = np.zeros(n, dtype=np.int64)
-                        column[result.start : result.stop] = arr
-
-            journal = ShardJournal(tracked)
-            for result in shard_results:
-                journal.absorb(result.journal)
-            _merge_into(groups, base, journal, shard_results, laws, trace, exports)
-        merge_ms = (time.perf_counter() - t_merge) * 1e3
+            t_merge = time.perf_counter()
+            with _RECORDER.span("shard.merge", cat="dataplane"):
+                _merge_into(groups, base, shard_results, laws)
+            merge_ms = (time.perf_counter() - t_merge) * 1e3
+        finally:
+            if owned:
+                shard_pool.close()
 
     from repro.telemetry import TELEMETRY as _TELEMETRY
 
@@ -1074,18 +579,16 @@ def run_sharded(
         backend=backend_used,
         fallback=None,
         merge_laws=laws,
-        exports=exports,
-        retries=dispatch_stats["retries"],
-        timeouts=dispatch_stats["timeouts"],
-        shard_events=dispatch_stats["events"],
+        retries=stats["retries"],
+        timeouts=stats["timeouts"],
+        shard_events=stats["events"],
         shard_timings=timings,
         timing={
             "plan_ms": plan_ms,
             "sync_ms": sync_ms,
-            "dispatch_ms": dispatch_total_ms,
+            "dispatch_ms": dispatch_ms,
             "merge_ms": merge_ms,
             "total_ms": (time.perf_counter() - t_run) * 1e3,
         },
-        runtime=RUNTIME_PERSISTENT if use_pool else RUNTIME_EPHEMERAL,
-        degraded=degraded,
+        degraded=shard_pool.degraded_reason,
     )

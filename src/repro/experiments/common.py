@@ -137,6 +137,7 @@ def deploy_and_process(
     )
     handle = controller.add_task(task)
     controller.process_trace(trace, batch_size=batch_size, workers=workers)
+    controller.close_shard_pool()  # one-shot replay: no resident workers
     return controller, handle
 
 

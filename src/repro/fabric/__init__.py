@@ -8,10 +8,8 @@ the union of the hosts' traffic.  See docs/FABRIC.md.
 """
 
 from repro.fabric.merge import (
-    MERGEABLE_LAWS,
-    fabric_merge_law,
     merge_member_epochs,
-    task_merge_laws,
+    task_cell_laws,
     task_mergeable,
 )
 from repro.fabric.placement import (
@@ -40,12 +38,10 @@ __all__ = [
     "LAYER_CORE",
     "LAYER_EDGE",
     "LAYERS",
-    "MERGEABLE_LAWS",
     "PlacementDecision",
     "SwitchSpec",
     "TopologyError",
-    "fabric_merge_law",
     "merge_member_epochs",
-    "task_merge_laws",
+    "task_cell_laws",
     "task_mergeable",
 ]

@@ -18,13 +18,14 @@ Tasks with no such law (chained inter-arrival pipelines, finite-bound
 Cond-ADD towers, counter braids) are placed on exactly one covering switch
 instead; their merge is a straight copy, exact for any operation.
 
-Alarm digests merge by set union.  Unlike shard merging (which must replay
-alarm-armed tasks to reproduce the digest stream), fabric digests are a
-*documented approximation*: a host sees only its own share of a flow's
-traffic, so threshold crossings fire against per-host counts.  The union is
-sandwiched -- every true heavy hitter appears (its full traffic lands on
-one host), and nothing outside the single-switch digest set appears (union
-cells dominate per-host cells) -- see docs/FABRIC.md.
+The laws come from :mod:`repro.core.laws`, the same table sharding uses.
+Alarm digests merge by set union.  Unlike sharding (which runs alarm-armed
+deployments sequentially to reproduce the digest stream), fabric digests
+are a *documented approximation*: a host sees only its own share of a
+flow's traffic, so threshold crossings fire against per-host counts.  The
+union is sandwiched -- every true heavy hitter appears (its full traffic
+lands on one host), and nothing outside the single-switch digest set
+appears (union cells dominate per-host cells) -- see docs/FABRIC.md.
 """
 
 from __future__ import annotations
@@ -34,86 +35,28 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.controller import TaskHandle
-from repro.dataplane.sharding import (
-    LAW_MAX,
-    LAW_OR,
-    LAW_REPLAY,
-    LAW_SUM,
-    LAW_XOR,
-)
+from repro.core.laws import MERGEABLE, cell_law, fold
 from repro.service.engine import SealedEpoch
 
-#: Laws a task may carry and still be hosted on multiple switches.
-MERGEABLE_LAWS = frozenset({LAW_SUM, LAW_MAX, LAW_OR, LAW_XOR})
 
+def task_cell_laws(handle: TaskHandle) -> Dict[Tuple[int, int], str]:
+    """Per-row cell laws of a deployed task, keyed ``(group, cmu)``.
 
-def fabric_merge_law(plan, bucket_bits: int, value_mask: int) -> str:
-    """The fabric's per-row merge law (sharding's law, alarms excepted).
-
-    Shard merging treats alarm-armed tasks as replay-only because it must
-    reproduce the exact digest stream.  Fabric federation merges digests by
-    set union with a documented bound instead, and alarm thresholds do not
-    change how *cells* update -- so the law depends only on the operation.
+    Alarm thresholds do not change how cells update, so an armed row keeps
+    its operation's law; chained rows have none (single host only).
     """
-    from repro.core.operations import OP_AND_OR, OP_COND_ADD, OP_MAX, OP_XOR
-    from repro.core.params import ConstParam
-
-    config = plan.config
-    if config.op == OP_MAX:
-        return LAW_MAX
-    if config.op == OP_XOR:
-        return LAW_XOR
-    if config.op == OP_COND_ADD:
-        if (
-            isinstance(config.p2, ConstParam)
-            and (config.p2.constant & value_mask) == value_mask
-            and bucket_bits >= 8
-        ):
-            return LAW_SUM
-        return LAW_REPLAY
-    if config.op == OP_AND_OR:
-        if isinstance(config.p2, ConstParam) and (config.p2.constant & value_mask):
-            return LAW_OR
-        return LAW_REPLAY
-    return LAW_REPLAY
-
-
-def task_merge_laws(handle: TaskHandle) -> Dict[Tuple[int, int], str]:
-    """Per-row fabric merge laws of a deployed task, keyed ``(group, cmu)``.
-
-    Chained rows (inputs fed by upstream CMU exports) are forced to
-    ``replay``: their register stream depends on seeing the *whole* packet
-    sequence, so only single-host placement is exact.
-    """
-    from repro.dataplane.sharding import _is_chained
-
-    laws: Dict[Tuple[int, int], str] = {}
-    for row in handle.rows:
-        plan = row.cmu.task_plans()[handle.task_id]
-        if _is_chained(plan.config):
-            law = LAW_REPLAY
-        else:
-            law = fabric_merge_law(
-                plan, row.cmu.bucket_bits, row.cmu.register.value_mask
-            )
-        laws[(row.group.group_id, row.cmu.index)] = law
-    return laws
+    return {
+        (row.group.group_id, row.cmu.index): cell_law(
+            row.cmu.task_plans()[handle.task_id],
+            row.cmu.bucket_bits,
+            row.cmu.register.value_mask,
+        )
+        for row in handle.rows
+    }
 
 
 def task_mergeable(laws: Mapping[Tuple[int, int], str]) -> bool:
-    return all(law in MERGEABLE_LAWS for law in laws.values())
-
-
-def _fold(law: str, acc: np.ndarray, part: np.ndarray, value_mask: int) -> np.ndarray:
-    if law == LAW_SUM:
-        return (acc + part) & value_mask
-    if law == LAW_MAX:
-        return np.maximum(acc, part)
-    if law == LAW_OR:
-        return acc | part
-    if law == LAW_XOR:
-        return acc ^ part
-    raise ValueError(f"law {law!r} cannot fold multiple hosts")
+    return all(law in MERGEABLE for law in laws.values())
 
 
 def merge_member_epochs(
@@ -171,8 +114,8 @@ def merge_member_epochs(
                 part = epoch._cells[key][mem.base : mem.base + mem.length]
                 if merged is None:
                     merged = part.copy()
-                elif law in MERGEABLE_LAWS:
-                    merged = _fold(law, merged, part, row.cmu.register.value_mask)
+                elif law in MERGEABLE:
+                    merged = fold(law, merged, part, row.cmu.register.value_mask)
                 else:
                     raise ValueError(
                         f"task {handle.task_id}: law {law!r} hosted on "

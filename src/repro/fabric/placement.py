@@ -11,10 +11,10 @@ once, and (b) can merge their registers exactly.
   utilization a member would reach, so load spreads to the least-loaded
   covering set; ties prefer the lowest layer (most disaggregation, most
   aggregate memory headroom).
-* **Replay-law tasks** (chained pipelines, finite-bound Cond-ADD) must see
-  their whole packet stream in order on one switch: candidates are the
-  single switches whose domain covers the filter's blocks, least-loaded
-  first.
+* **Tasks without a cell law** (chained pipelines, finite-bound Cond-ADD;
+  see :mod:`repro.core.laws`) must see their whole packet stream in order
+  on one switch: candidates are the single switches whose domain covers
+  the filter's blocks, least-loaded first.
 
 Either way a task lands on *fewer than all* switches whenever the topology
 has more than one layer or the filter narrows the block set -- the

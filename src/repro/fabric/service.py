@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.controller import FlyMonController, TaskHandle
 from repro.core.task import MeasurementTask
 from repro.core.txn import ReconfigTransaction
-from repro.fabric.merge import merge_member_epochs, task_merge_laws
+from repro.fabric.merge import merge_member_epochs, task_cell_laws
 from repro.faults import FAULTS, SITE_MEMBER_SEAL, FaultError
 from repro.fabric.placement import FabricPlacer, PlacementDecision
 from repro.fabric.topology import FabricTopology
@@ -135,7 +135,7 @@ class FabricService:
         with self._lock:
             canonical = self.canonical.add_task(task)
             try:
-                laws = task_merge_laws(canonical)
+                laws = task_cell_laws(canonical)
                 loads = {
                     name: float(
                         svc.controller.stats()["memory_utilization"]

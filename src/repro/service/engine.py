@@ -269,8 +269,6 @@ class MeasurementService:
         retain: int = 8,
         batch_size: Optional[int] = None,
         workers: int = 1,
-        backend: Optional[str] = None,
-        runtime: Optional[str] = None,
         epoch_wall_ms: Optional[float] = None,
         max_stall_ms: Optional[float] = None,
         sealer_restart_budget: int = 3,
@@ -308,10 +306,6 @@ class MeasurementService:
         self.retain = retain
         self.batch_size = batch_size
         self.workers = max(1, int(workers))
-        self.backend = backend
-        #: Shard runtime ("ephemeral" / "persistent"); ``None`` defers to the
-        #: ``FLYMON_SHARD_RUNTIME`` environment variable.
-        self.shard_runtime = runtime
         self.watchers: List[object] = []
         self.watcher_log: List[object] = []
         self._series: Dict[str, object] = {}
@@ -794,8 +788,6 @@ class MeasurementService:
                     window,
                     self.workers,
                     batch_size=self._effective_batch(),
-                    backend=self.backend,
-                    runtime=self.shard_runtime,
                 )
                 return
             if self.batch_size == 0:
@@ -876,11 +868,11 @@ class MeasurementService:
             with _RECORDER.span("rotate.watchers", cat="service"):
                 self._evaluate_watchers(sealed)
 
-            # Persistent shard runtime: the resident worker replicas already
-            # self-reset after every run, so sealing an epoch in place is a
-            # broadcast no-op that only bumps the workers' seal counters (and
-            # scrubs any straggler state).  Ephemeral runs have no pool and
-            # skip this entirely.
+            # Shard pool: the resident worker replicas already self-reset
+            # after every run, so sealing an epoch in place is a broadcast
+            # no-op that only bumps the workers' seal counters (and scrubs
+            # any straggler state).  In-process runs have no pool and skip
+            # this entirely.
             pool = getattr(self.controller, "_shard_pool", None)
             if pool is not None and not pool.closed:
                 with _RECORDER.span("rotate.pool", cat="service"):

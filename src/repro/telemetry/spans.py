@@ -29,23 +29,23 @@ in after the fact with :meth:`FlightRecorder.add`, which accepts an explicit
 parent id and start timestamp so synthetic spans nest correctly in both the
 tree and the Chrome timeline.
 
-Sharded-datapath phases, by runtime:
+Sharded-datapath phases (the persistent shard pool):
 
-* ``shard.dispatch`` wraps the fan-out on both runtimes; per-shard
-  ``shard.worker`` spans (with nested ``shard.build`` / ``shard.compute`` /
-  ``shard.transport``) are grafted in from worker-reported floats.
-* ``shard.transport`` is *data movement only*: on the ephemeral runtime it
-  is the pickle/unpickle of inputs and results; on the persistent runtime
-  it is the shared-memory copy in (parent side) plus the register
-  snapshot-into-shm out (worker side).  ``shard.build`` is the replica
-  construction cost -- paid once per pool lifetime on the persistent
-  runtime, so it collapses to ~0 on warm runs.
-* ``shard.sync`` (persistent only) times shipping control-plane deltas
-  (installed/removed rules, filter updates) to the resident workers before
-  a run; ``shard.shm`` (persistent only) times each bounded input-window
-  copy round inside the dispatch.
-* ``rotate.pool`` (persistent only, under ``service.rotate``) times the
-  in-place epoch seal broadcast to the resident workers.
+* ``shard.dispatch`` wraps the fan-out; per-shard ``shard.worker`` spans
+  (with nested ``shard.build`` / ``shard.compute`` / ``shard.transport``)
+  are grafted in from worker-reported floats.
+* ``shard.transport`` is *data movement only*: the shared-memory copy in
+  (parent side) plus the register snapshot-into-shm out (worker side).
+  ``shard.build`` is the replica construction cost -- paid once per pool
+  lifetime, so it collapses to ~0 on warm runs.
+* ``shard.sync`` times shipping control-plane deltas (installed/removed
+  rules, filter updates) to the resident workers before a run;
+  ``shard.shm`` times each bounded input-window copy round inside the
+  dispatch.
+* ``shard.sequential`` times an in-process run of a deployment the pool
+  cannot merge (alarm-armed rows, rows without a cell law).
+* ``rotate.pool`` (under ``service.rotate``, when a pool is attached)
+  times the in-place epoch seal broadcast to the resident workers.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ observation model.
 
 import numpy as np
 
-from repro.core.network import NetworkCoordinator, _hll_ranks
+from repro.core.algorithms.distinct import FlyMonHll
+from repro.core.network import NetworkCoordinator
 from repro.core.task import AttributeSpec, MeasurementTask
 from repro.traffic import KEY_SRC_IP, Trace, zipf_trace
 from repro.traffic.packet import PACKET_FIELDS
@@ -72,12 +73,17 @@ class TestHllMerge:
         solo_handle = solo.deploy_everywhere(hll_task())
         solo.process({"solo": trace})
 
+        def stored(handle, name):
+            return np.asarray(handle.per_switch[name].algorithm.rows[0].read())
+
+        merged_cells = np.maximum(stored(pair_handle, "a"), stored(pair_handle, "b"))
+        solo_cells = stored(solo_handle, "solo")
+        assert merged_cells.tolist() == solo_cells.tolist()
         merged_ranks = np.maximum(
-            _hll_ranks(pair_handle.per_switch["a"].algorithm),
-            _hll_ranks(pair_handle.per_switch["b"].algorithm),
+            FlyMonHll.ranks(stored(pair_handle, "a")),
+            FlyMonHll.ranks(stored(pair_handle, "b")),
         )
-        solo_ranks = _hll_ranks(solo_handle.per_switch["solo"].algorithm)
-        assert merged_ranks.tolist() == solo_ranks.tolist()
+        assert merged_ranks.tolist() == FlyMonHll.ranks(solo_cells).tolist()
         assert (
             pair_handle.merged_cardinality()
             == solo_handle.merged_cardinality()

@@ -1,4 +1,4 @@
-"""Persistent shard pool: resident replicas, deltas, shm, and degradation.
+"""Persistent shard pool: resident replicas, deltas, shm, and thread mode.
 
 The pool's contract is "bit-identical to the scalar reference, always":
 warm replicas fed by control-plane deltas and shared-memory packet windows
@@ -19,13 +19,6 @@ import repro.core.task as task_mod
 from repro.core.controller import FlyMonController
 from repro.core.task import AttributeSpec, MeasurementTask, TaskFilter
 from repro.dataplane.shard_pool import PersistentShardPool, shm_rows
-from repro.dataplane.sharding import (
-    RUNTIME_EPHEMERAL,
-    RUNTIME_PERSISTENT,
-    ShardingError,
-    run_sharded,
-    shard_runtime,
-)
 from repro.traffic.flows import KEY_DST_IP, KEY_SRC_IP
 from repro.traffic.generators import zipf_trace
 
@@ -83,43 +76,18 @@ def trace():
     return zipf_trace(num_flows=500, num_packets=6001, seed=11)
 
 
-# -- runtime resolution ------------------------------------------------------
-
-
-def test_runtime_defaults_to_ephemeral(monkeypatch):
-    monkeypatch.delenv("FLYMON_SHARD_RUNTIME", raising=False)
-    assert shard_runtime() == RUNTIME_EPHEMERAL
-
-
-def test_runtime_env_var(monkeypatch):
-    monkeypatch.setenv("FLYMON_SHARD_RUNTIME", "persistent")
-    assert shard_runtime() == RUNTIME_PERSISTENT
-    # The env path is lenient: garbage falls back to the default rather
-    # than crashing a run that never asked for a runtime.
-    monkeypatch.setenv("FLYMON_SHARD_RUNTIME", "warp-drive")
-    assert shard_runtime() == RUNTIME_EPHEMERAL
-
-
-def test_runtime_explicit_argument_is_strict():
-    assert shard_runtime("persistent") == RUNTIME_PERSISTENT
-    with pytest.raises(ShardingError):
-        shard_runtime("warp-drive")
-
-
 # -- warm-pool bit identity --------------------------------------------------
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_pool_reuse_bit_identical(trace, workers):
-    scalar, _ = _controller([_cms_task(threshold=80), _hll_task()])
-    pooled, _ = _controller([_cms_task(threshold=80), _hll_task()])
+    scalar, _ = _controller([_cms_task(), _hll_task()])
+    pooled, _ = _controller([_cms_task(), _hll_task()])
     try:
         for run in range(2):
             scalar.process_trace(trace)
-            report = pooled.process_trace_sharded(
-                trace, workers=workers, backend="process", runtime="persistent"
-            )
-            assert report.runtime == RUNTIME_PERSISTENT
+            report = pooled.process_trace_sharded(trace, workers=workers)
+            assert report.backend == "process"
             assert report.fallback is None
             if run == 1:
                 # The replicas were built on run 0 and stayed resident.
@@ -142,8 +110,8 @@ def test_pool_survives_rule_mutations(trace):
         ("remove", 0),
         ("run",),
     ]
-    scalar, scalar_handles = _controller([_cms_task(threshold=80), _hll_task()])
-    pooled, pooled_handles = _controller([_cms_task(threshold=80), _hll_task()])
+    scalar, scalar_handles = _controller([_cms_task(), _hll_task()])
+    pooled, pooled_handles = _controller([_cms_task(), _hll_task()])
 
     def apply(controller, handles, op):
         if op[0] == "add":
@@ -164,10 +132,8 @@ def test_pool_survives_rule_mutations(trace):
             apply(pooled, pooled_handles, op)
             if op[0] == "run":
                 scalar.process_trace(trace)
-                report = pooled.process_trace_sharded(
-                    trace, workers=2, backend="process", runtime="persistent"
-                )
-                assert report.runtime == RUNTIME_PERSISTENT
+                report = pooled.process_trace_sharded(trace, workers=2)
+                assert report.shards == 2
                 _assert_state_equal(_state(scalar), _state(pooled))
         pool = pooled._shard_pool
         assert pool is not None and not pool.closed
@@ -179,14 +145,12 @@ def test_chunked_rounds_with_small_shm_window(monkeypatch, trace):
     """Input windows smaller than a shard force multi-round streaming."""
     monkeypatch.setenv("FLYMON_SHARD_SHM_ROWS", "512")
     assert shm_rows() == 512
-    scalar, _ = _controller([_cms_task(threshold=60)])
-    pooled, _ = _controller([_cms_task(threshold=60)])
+    scalar, _ = _controller([_cms_task()])
+    pooled, _ = _controller([_cms_task()])
     try:
         scalar.process_trace(trace)
-        report = pooled.process_trace_sharded(
-            trace, workers=2, backend="process", runtime="persistent"
-        )
-        assert report.runtime == RUNTIME_PERSISTENT
+        report = pooled.process_trace_sharded(trace, workers=2)
+        assert report.shards == 2
         _assert_state_equal(_state(scalar), _state(pooled))
     finally:
         pooled.close_shard_pool()
@@ -199,22 +163,20 @@ def test_shm_rows_floor(monkeypatch):
     assert shm_rows() == 1 << 16
 
 
-# -- graceful degradation ----------------------------------------------------
+# -- thread mode -------------------------------------------------------------
 
 
 def test_fork_unavailable_degrades_to_threads(monkeypatch, trace):
     monkeypatch.setattr(
         multiprocessing, "get_all_start_methods", lambda: ["spawn"]
     )
-    scalar, _ = _controller([_cms_task(threshold=80)])
-    pooled, _ = _controller([_cms_task(threshold=80)])
+    scalar, _ = _controller([_cms_task()])
+    pooled, _ = _controller([_cms_task()])
     try:
         scalar.process_trace(trace)
-        report = pooled.process_trace_sharded(
-            trace, workers=2, backend="process", runtime="persistent"
-        )
+        report = pooled.process_trace_sharded(trace, workers=2)
         # Never a crash: the pool runs in thread mode and says why.
-        assert report.runtime == RUNTIME_PERSISTENT
+        assert report.shards == 2
         assert report.backend == "thread"
         assert report.degraded is not None
         assert "fork" in report.degraded
@@ -223,46 +185,14 @@ def test_fork_unavailable_degrades_to_threads(monkeypatch, trace):
         pooled.close_shard_pool()
 
 
-def test_serial_backend_skips_the_pool(trace):
-    controller, _ = _controller([_cms_task(threshold=80)])
-    report = controller.process_trace_sharded(
-        trace, workers=2, backend="serial", runtime="persistent"
-    )
-    assert report.runtime == RUNTIME_EPHEMERAL
-    assert report.degraded is not None
-    assert controller._shard_pool is None
-
-
-def test_undersized_pool_degrades_to_ephemeral(trace):
-    controller, _ = _controller([_cms_task(threshold=80)])
-    pool = controller.shard_pool(2, backend="process")
-    try:
-        report = run_sharded(
-            controller.groups,
-            trace,
-            workers=4,
-            backend="process",
-            runtime="persistent",
-            pool=pool,
-        )
-        assert report.runtime == RUNTIME_EPHEMERAL
-        assert "pool sized for 2" in report.degraded
-    finally:
-        controller.close_shard_pool()
-
-
 def test_controller_resizes_pool_on_worker_change(trace):
-    controller, _ = _controller([_cms_task(threshold=80)])
+    controller, _ = _controller([_cms_task()])
     try:
-        controller.process_trace_sharded(
-            trace, workers=2, backend="process", runtime="persistent"
-        )
+        controller.process_trace_sharded(trace, workers=2)
         first = controller._shard_pool
         assert first.workers == 2
-        report = controller.process_trace_sharded(
-            trace, workers=4, backend="process", runtime="persistent"
-        )
-        assert report.runtime == RUNTIME_PERSISTENT
+        report = controller.process_trace_sharded(trace, workers=4)
+        assert report.shards == 4
         second = controller._shard_pool
         assert second.workers == 4
         assert first.closed
@@ -274,11 +204,9 @@ def test_controller_resizes_pool_on_worker_change(trace):
 
 
 def test_seal_epoch_counts_and_keeps_workers(trace):
-    controller, _ = _controller([_cms_task(threshold=80)])
+    controller, _ = _controller([_cms_task()])
     try:
-        controller.process_trace_sharded(
-            trace, workers=2, backend="process", runtime="persistent"
-        )
+        controller.process_trace_sharded(trace, workers=2)
         pool = controller._shard_pool
         before = pool.pids()
         pool.seal_epoch(0)
@@ -286,35 +214,29 @@ def test_seal_epoch_counts_and_keeps_workers(trace):
         assert pool.seals == 2
         assert pool.pids() == before
         # The pool still answers runs after sealing.
-        report = controller.process_trace_sharded(
-            trace, workers=2, backend="process", runtime="persistent"
-        )
-        assert report.runtime == RUNTIME_PERSISTENT
+        report = controller.process_trace_sharded(trace, workers=2)
+        assert report.shards == 2
     finally:
         controller.close_shard_pool()
 
 
 def test_close_is_idempotent_and_final(trace):
-    controller, _ = _controller([_cms_task(threshold=80)])
-    controller.process_trace_sharded(
-        trace, workers=2, backend="process", runtime="persistent"
-    )
+    controller, _ = _controller([_cms_task()])
+    controller.process_trace_sharded(trace, workers=2)
     pool = controller._shard_pool
     controller.close_shard_pool()
     assert pool.closed
     controller.close_shard_pool()  # no-op, no raise
     # A run after close transparently gets a fresh pool.
-    report = controller.process_trace_sharded(
-        trace, workers=2, backend="process", runtime="persistent"
-    )
-    assert report.runtime == RUNTIME_PERSISTENT
+    report = controller.process_trace_sharded(trace, workers=2)
+    assert report.shards == 2
     assert controller._shard_pool is not pool
     controller.close_shard_pool()
 
 
 def test_direct_pool_sync_counts_deltas(trace):
-    controller, handles = _controller([_cms_task(threshold=80), _hll_task()])
-    pool = PersistentShardPool(controller.groups, workers=2, backend="process")
+    controller, handles = _controller([_cms_task(), _hll_task()])
+    pool = PersistentShardPool(controller.groups, workers=2)
     try:
         assert pool.sync() == 0  # mirror already current at build time
         task_mod._task_ids = itertools.count(50)

@@ -1,22 +1,17 @@
 """Unit tests for the sharded execution layer (repro.dataplane.sharding)."""
 
 import itertools
-import os
+import multiprocessing
 
 import numpy as np
 import pytest
 
 import repro.core.task as task_mod
 from repro.core.controller import FlyMonController
+from repro.core.laws import LAW_MAX, LAW_NONE, LAW_OR, LAW_SUM
 from repro.core.task import AttributeSpec, MeasurementTask
 from repro.dataplane.sharding import (
-    LAW_MAX,
-    LAW_OR,
-    LAW_REPLAY,
-    LAW_SUM,
     GroupReplicaSpec,
-    ShardJournal,
-    ShardingError,
     default_workers,
     run_sharded,
     shard_ranges,
@@ -42,6 +37,24 @@ def _cms_task(**kwargs):
     kwargs.setdefault("depth", 3)
     kwargs.setdefault("algorithm", "cms")
     return MeasurementTask(**kwargs)
+
+
+def _hll_task():
+    return MeasurementTask(
+        key=KEY_DST_IP,
+        attribute=AttributeSpec.distinct(KEY_SRC_IP),
+        memory=1024,
+        depth=1,
+        algorithm="hll",
+    )
+
+
+@pytest.fixture
+def thread_mode(monkeypatch):
+    """Force the pool's thread mode (no ``fork`` start method)."""
+    monkeypatch.setattr(
+        multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+    )
 
 
 def _assert_same_state(reference, other):
@@ -99,33 +112,6 @@ class TestDefaultWorkers:
         assert default_workers() == 1
 
 
-class TestShardJournal:
-    def test_offset_globalizes_rows(self):
-        journal = ShardJournal(tracked=None, offset=100)
-        journal.record(0, 0, 1, np.array([0, 3]), np.array([5, 6]), np.array([1, 1]), np.array([0, 0]))
-        rows, index, p1, p2 = journal.entries((0, 0, 1))
-        np.testing.assert_array_equal(rows, [100, 103])
-        np.testing.assert_array_equal(index, [5, 6])
-
-    def test_tracked_filter(self):
-        journal = ShardJournal(tracked=frozenset({(0, 0, 1)}))
-        assert journal.wants(0, 0, 1)
-        assert not journal.wants(0, 0, 2)
-        assert journal.entries((0, 0, 2)) is None
-
-    def test_absorb_preserves_order(self):
-        a = ShardJournal(tracked=None)
-        a.record(0, 0, 1, np.array([0]), np.array([1]), np.array([2]), np.array([3]))
-        b = ShardJournal(tracked=None, offset=10)
-        b.record(0, 0, 1, np.array([0]), np.array([9]), np.array([8]), np.array([7]))
-        merged = ShardJournal(tracked=None)
-        merged.absorb(a)
-        merged.absorb(b)
-        rows, index, p1, p2 = merged.entries((0, 0, 1))
-        np.testing.assert_array_equal(rows, [0, 10])
-        np.testing.assert_array_equal(index, [1, 9])
-
-
 class TestReplicaSpecs:
     def test_replica_matches_original_per_packet(self):
         controller, _ = _controller([_cms_task()])
@@ -160,14 +146,17 @@ class TestMergeLaws:
     def test_cms_is_sum(self):
         controller, _ = _controller([_cms_task()])
         trace = zipf_trace(num_flows=32, num_packets=64, seed=1)
-        report = run_sharded(controller.groups, trace, workers=2, backend="serial")
+        report = run_sharded(controller.groups, trace, workers=2)
         assert set(report.merge_laws.values()) == {LAW_SUM}
+        assert report.shards == 2
 
-    def test_armed_cms_is_replay(self):
+    def test_armed_cms_runs_sequentially(self):
         controller, _ = _controller([_cms_task(threshold=10)])
         trace = zipf_trace(num_flows=32, num_packets=64, seed=1)
-        report = run_sharded(controller.groups, trace, workers=2, backend="serial")
-        assert set(report.merge_laws.values()) == {LAW_REPLAY}
+        report = run_sharded(controller.groups, trace, workers=2)
+        assert set(report.merge_laws.values()) == {LAW_SUM}
+        assert report.shards == 0
+        assert "(alarm)" in report.fallback
 
     def test_max_and_or_laws(self):
         tasks = [
@@ -188,17 +177,8 @@ class TestMergeLaws:
         ]
         controller, _ = _controller(tasks)
         trace = zipf_trace(num_flows=32, num_packets=64, seed=1)
-        report = run_sharded(controller.groups, trace, workers=2, backend="serial")
+        report = run_sharded(controller.groups, trace, workers=2)
         assert set(report.merge_laws.values()) == {LAW_MAX, LAW_OR}
-
-    def test_exact_exports_forces_replay(self):
-        controller, _ = _controller([_cms_task()])
-        trace = zipf_trace(num_flows=32, num_packets=64, seed=1)
-        report = run_sharded(
-            controller.groups, trace, workers=2, backend="serial", exact_exports=True
-        )
-        assert set(report.merge_laws.values()) == {LAW_REPLAY}
-        assert report.exports is not None
 
 
 class TestChainedFallback:
@@ -214,7 +194,7 @@ class TestChainedFallback:
         trace = zipf_trace(num_flows=64, num_packets=500, seed=2)
         report = run_sharded(controller.groups, trace, workers=4)
         assert report.fallback is not None
-        assert "chained" in report.fallback
+        assert f"(law {LAW_NONE})" in report.fallback
         assert report.backend == "sequential"
         assert report.shards == 0
 
@@ -231,37 +211,91 @@ class TestChainedFallback:
         assert report.packets == 0
 
 
+def _tower_task():
+    return MeasurementTask(
+        key=KEY_SRC_IP,
+        attribute=AttributeSpec.frequency(),
+        memory=1024,
+        depth=2,
+        algorithm="tower",
+    )
+
+
+def _chained_task():
+    return MeasurementTask(
+        key=KEY_SRC_IP,
+        attribute=AttributeSpec.frequency(),
+        memory=1024,
+        depth=2,
+        algorithm="sumax_sum",
+    )
+
+
+class TestSelection:
+    """The law table alone picks the pool or the in-process path."""
+
+    @pytest.mark.parametrize(
+        "make_tasks,why",
+        [
+            (lambda: [_cms_task(threshold=40), _hll_task()], "(alarm)"),
+            (lambda: [_tower_task(), _hll_task()], f"(law {LAW_NONE})"),
+            (lambda: [_chained_task()], f"(law {LAW_NONE})"),
+        ],
+        ids=["alarm-armed", "finite-p2", "chained"],
+    )
+    def test_blocked_rows_run_sequentially(self, make_tasks, why):
+        trace = zipf_trace(num_flows=300, num_packets=4_001, seed=21)
+        reference, _ = _controller(make_tasks())
+        reference.process_trace(trace, batch_size=512)
+        controller, _ = _controller(make_tasks())
+        report = controller.process_trace_sharded(trace, workers=2, batch_size=512)
+        assert report.shards == 0
+        assert report.backend == "sequential"
+        assert "cmug" in report.fallback and why in report.fallback
+        assert controller._shard_pool is None  # no pool was started
+        _assert_same_state(reference, controller)
+
+    def test_cell_law_deployment_engages_the_pool(self):
+        trace = zipf_trace(num_flows=300, num_packets=4_001, seed=22)
+        tasks = lambda: [_cms_task(), _hll_task()]  # noqa: E731
+        reference, _ = _controller(tasks())
+        reference.process_trace(trace, batch_size=512)
+        controller, _ = _controller(tasks())
+        try:
+            report = controller.process_trace_sharded(
+                trace, workers=2, batch_size=512
+            )
+            assert report.fallback is None
+            assert report.shards == 2
+            assert controller._shard_pool is not None
+            _assert_same_state(reference, controller)
+        finally:
+            controller.close_shard_pool()
+
+
 class TestBackends:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_backend_matches_scalar_reference(self, backend):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_backend_matches_scalar_reference(self, backend, monkeypatch):
+        if backend == "thread":
+            monkeypatch.setattr(
+                multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+            )
         trace = zipf_trace(num_flows=200, num_packets=3_000, seed=7)
-        tasks = [_cms_task(threshold=40)]
+        tasks = [_cms_task(), _hll_task()]
         reference, _ = _controller(tasks)
         reference.process_trace(trace, batch_size=None)
         sharded, _ = _controller(tasks)
-        report = run_sharded(sharded.groups, trace, workers=2, backend=backend)
+        report = run_sharded(sharded.groups, trace, workers=2)
         assert report.fallback is None
+        assert report.backend == backend
         _assert_same_state(reference, sharded)
 
-    def test_unknown_backend_rejected(self):
+    def test_single_shard_runs_on_one_worker(self):
         controller, _ = _controller([_cms_task()])
         trace = zipf_trace(num_flows=8, num_packets=16, seed=0)
-        with pytest.raises(ShardingError):
-            run_sharded(controller.groups, trace, workers=2, backend="gpu")
-
-    def test_env_backend_selection(self, monkeypatch):
-        monkeypatch.setenv("FLYMON_SHARD_BACKEND", "thread")
-        controller, _ = _controller([_cms_task()])
-        trace = zipf_trace(num_flows=32, num_packets=512, seed=3)
-        report = run_sharded(controller.groups, trace, workers=2)
-        assert report.backend == "thread"
-
-    def test_single_shard_runs_serially(self):
-        controller, _ = _controller([_cms_task()])
-        trace = zipf_trace(num_flows=8, num_packets=16, seed=0)
-        report = run_sharded(controller.groups, trace, workers=1, backend="process")
+        report = run_sharded(controller.groups, trace, workers=1)
         assert report.shards == 1
-        assert report.backend == "serial"
+        assert report.backend == "process"
 
 
 class TestControllerAndSwitchRouting:
@@ -271,6 +305,7 @@ class TestControllerAndSwitchRouting:
         reference.process_trace(trace, batch_size=None)
         sharded, handles = _controller([_cms_task()])
         sharded.process_trace(trace, workers=4)
+        sharded.close_shard_pool()
         _assert_same_state(reference, sharded)
         for ref, other in zip(ref_handles, handles):
             for row_r, row_o in zip(ref.read_rows(), other.read_rows()):
@@ -291,28 +326,10 @@ class TestControllerAndSwitchRouting:
         reference, _ = _controller([_cms_task()], place_on_pipeline=True)
         reference.process_trace(trace, batch_size=512)
         sharded, _ = _controller([_cms_task()], place_on_pipeline=True)
-        report = sharded.process_trace_sharded(trace, workers=3, backend="serial")
+        report = sharded.process_trace_sharded(trace, workers=3)
+        sharded.close_shard_pool()
         assert report.fallback is None
         _assert_same_state(reference, sharded)
-
-
-class TestExports:
-    def test_sharded_exports_match_sequential_for_replayed_tasks(self):
-        trace = zipf_trace(num_flows=64, num_packets=1_000, seed=13)
-        tasks = [_cms_task(threshold=30, memory=512)]
-        reference, _ = _controller(tasks)
-        ref_report = run_sharded(
-            reference.groups, trace, workers=1, backend="serial", collect_exports=True
-        )
-        sharded, _ = _controller(tasks)
-        report = run_sharded(
-            sharded.groups, trace, workers=4, backend="serial", exact_exports=True
-        )
-        assert set(report.exports) == set(ref_report.exports)
-        for name in ref_report.exports:
-            np.testing.assert_array_equal(
-                report.exports[name], ref_report.exports[name], err_msg=name
-            )
 
 
 class TestShardTimings:
@@ -322,7 +339,7 @@ class TestShardTimings:
     def test_report_timing_and_shard_timings_populated(self):
         trace = zipf_trace(num_flows=100, num_packets=2_000, seed=5)
         controller, _ = _controller([_cms_task()])
-        report = run_sharded(controller.groups, trace, workers=3, backend="serial")
+        report = run_sharded(controller.groups, trace, workers=3)
         timing = report.timing
         assert set(timing) == {
             "plan_ms", "sync_ms", "dispatch_ms", "merge_ms", "total_ms"
@@ -343,20 +360,19 @@ class TestShardTimings:
             assert "_submit_pc" not in record  # private field stripped
         assert sum(r["rows"] for r in report.shard_timings) == len(trace)
 
-    def test_thread_backend_dispatch_covers_worker_phases(self):
+    def test_thread_backend_dispatch_covers_worker_phases(self, thread_mode):
         trace = zipf_trace(num_flows=100, num_packets=2_000, seed=6)
         controller, _ = _controller([_cms_task()])
-        report = run_sharded(controller.groups, trace, workers=2, backend="thread")
+        report = run_sharded(controller.groups, trace, workers=2)
+        assert report.backend == "thread"
         for record in report.shard_timings:
-            # dispatch (submit->result) bounds the worker-measured phases;
-            # transport is exactly the gap, clamped at zero.
-            assert record["transport_ms"] == pytest.approx(
-                max(
-                    0.0,
-                    record["dispatch_ms"]
-                    - record["build_ms"]
-                    - record["compute_ms"],
-                )
+            # dispatch (submit->result) bounds the phases the worker thread
+            # measured inside it: the batch loop and the register snapshot.
+            assert record["compute_ms"] > 0.0
+            assert record["transport_ms"] > 0.0
+            assert (
+                record["compute_ms"] + record["transport_ms"]
+                <= record["dispatch_ms"] + 1e-6
             )
 
     def test_recovered_shard_reports_retry_timings(self):
@@ -366,9 +382,7 @@ class TestShardTimings:
         controller, _ = _controller([_cms_task()])
         FAULTS.arm(SITE_SHARD_CRASH, hit=2)  # second shard dispatch fails
         try:
-            report = run_sharded(
-                controller.groups, trace, workers=2, backend="thread"
-            )
+            report = run_sharded(controller.groups, trace, workers=2)
         finally:
             FAULTS.reset()
         assert report.retries >= 1
@@ -403,7 +417,7 @@ class TestShardTimings:
         RECORDER.clear()
         enable_recorder()
         try:
-            run_sharded(controller.groups, trace, workers=2, backend="thread")
+            run_sharded(controller.groups, trace, workers=2)
             names = [s.name for s in RECORDER.spans]
         finally:
             disable_recorder()
@@ -411,6 +425,7 @@ class TestShardTimings:
         for expected in (
             "shard.run",
             "shard.plan",
+            "shard.sync",
             "shard.dispatch",
             "shard.merge",
             "shard.worker",

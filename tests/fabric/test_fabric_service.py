@@ -191,7 +191,7 @@ class TestCollaborativePlacement:
             fabric.stop()
 
     def test_unmergeable_task_gets_single_covering_host(self):
-        # max_interarrival needs the whole stream in order: replay law
+        # max_interarrival needs the whole stream in order: no cell law
         fabric, (handle,) = build_fabric([interarrival_task()])
         try:
             assert not handle.mergeable

@@ -3,9 +3,12 @@
 Random mixes of tasks covering the reduced operation set, both
 address-translation strategies, probabilistic execution, and data-plane
 alarms are deployed twice -- one controller replays the trace packet by
-packet, the other shards it over parallel datapath replicas -- and every
+packet, the other shards it over the persistent worker pool -- and every
 observable must be bit-identical after the merge: register cells, digest
-sets, and per-handle row reads.
+sets, and per-handle row reads.  A mix with an alarm-armed task runs
+in-process instead (the law table keeps it off the pool); the rest engage
+the pool, and :func:`test_random_mixes_cover_both_paths` pins that the
+seeds draw both kinds.
 
 Worker counts 1/2/4 cover the degenerate single-shard case, the minimal
 merge, and shards smaller than the batch size; trace lengths are chosen
@@ -30,7 +33,7 @@ from repro.traffic.packet import Packet
 def _task_catalog(rng):
     """Candidate tasks exercising every op / strategy / sampling / alarm."""
     return [
-        MeasurementTask(  # Cond-ADD with a data-plane alarm (replay law)
+        MeasurementTask(  # Cond-ADD with a data-plane alarm (in-process)
             key=KEY_SRC_IP,
             attribute=AttributeSpec.frequency(),
             memory=512,
@@ -70,6 +73,28 @@ def _task_catalog(rng):
             threshold=64,
         ),
     ]
+
+
+SEEDS = [0, 1, 2]
+
+
+def _mix(seed):
+    """A seeded task mix: some cell-law tasks, sometimes the armed CMS."""
+    rng = np.random.default_rng(seed)
+    catalog = _task_catalog(rng)
+    armed = bool(rng.random() < 0.5)
+    picks = rng.choice(
+        np.arange(1, len(catalog)),
+        size=int(rng.integers(2, len(catalog))),
+        replace=False,
+    )
+    tasks = ([catalog[0]] if armed else []) + [catalog[i] for i in sorted(picks)]
+    return rng, tasks, armed
+
+
+def test_random_mixes_cover_both_paths():
+    kinds = {_mix(seed)[2] for seed in SEEDS}
+    assert kinds == {True, False}, "seeds must draw pooled and in-process mixes"
 
 
 def _trace(rng, num_packets=3001, num_flows=300) -> Trace:
@@ -120,16 +145,8 @@ def _assert_identical(scalar, sharded, scalar_handles, sharded_handles):
             np.testing.assert_array_equal(row_s, row_p)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("strategy", ["tcam", "shift"])
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_random_task_mix_scalar_vs_sharded(seed, strategy, workers):
-    rng = np.random.default_rng(seed)
-    catalog = _task_catalog(rng)
-    picks = rng.choice(
-        len(catalog), size=int(rng.integers(2, len(catalog) + 1)), replace=False
-    )
-    tasks = [catalog[i] for i in sorted(picks)]
+def _run_mix(seed, strategy, workers):
+    rng, tasks, armed = _mix(seed)
     trace = _trace(rng)
 
     scalar, scalar_handles = _deploy(tasks, strategy)
@@ -137,13 +154,40 @@ def test_random_task_mix_scalar_vs_sharded(seed, strategy, workers):
 
     scalar.process_trace(trace, batch_size=None)
     batch_size = int(rng.choice([17, 256, 1000]))
-    report = sharded.process_trace_sharded(
-        trace, workers=workers, batch_size=batch_size, backend="serial"
-    )
-    assert report.fallback is None
-    assert report.shards == min(workers, len(trace))
+    try:
+        report = sharded.process_trace_sharded(
+            trace, workers=workers, batch_size=batch_size
+        )
+    finally:
+        sharded.close_shard_pool()
+    if armed:
+        assert report.shards == 0 and "(alarm)" in report.fallback
+    else:
+        assert report.fallback is None
+        assert report.shards == min(workers, len(trace))
 
     _assert_identical(scalar, sharded, scalar_handles, sharded_handles)
+    return report
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("strategy", ["tcam", "shift"])
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_random_task_mix_scalar_vs_sharded(seed, strategy, workers):
+    _run_mix(seed, strategy, workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_random_task_mix_scalar_vs_thread_mode_pool(monkeypatch, workers):
+    """The same oracle on the pool's thread mode (no ``fork``)."""
+    import multiprocessing
+
+    monkeypatch.setattr(
+        multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+    )
+    seed = next(seed for seed in SEEDS if not _mix(seed)[2])
+    report = _run_mix(seed, "tcam", workers)
+    assert report.backend == "thread"
 
 
 @pytest.mark.parametrize("workers", [2, 4])
@@ -158,7 +202,6 @@ def test_hot_flow_crossing_shard_boundaries(workers):
             memory=128,
             depth=3,
             algorithm="cms",
-            threshold=100,
         ),
         MeasurementTask(
             key=KEY_SRC_IP,
@@ -186,19 +229,22 @@ def test_hot_flow_crossing_shard_boundaries(workers):
     scalar, scalar_handles = _deploy(tasks, "tcam")
     sharded, sharded_handles = _deploy(tasks, "tcam")
     scalar.process_trace(trace, batch_size=None)
-    report = sharded.process_trace_sharded(
-        trace, workers=workers, batch_size=256, backend="serial"
-    )
+    try:
+        report = sharded.process_trace_sharded(trace, workers=workers, batch_size=256)
+    finally:
+        sharded.close_shard_pool()
     assert report.fallback is None
+    assert report.shards == workers
 
     _assert_identical(scalar, sharded, scalar_handles, sharded_handles)
     hot_count = sum(1 for i in range(1999) if i % 3)
     assert sharded_handles[0].algorithm.query((hot,)) == hot_count
 
 
-def test_sixteen_bit_saturating_counters_use_replay():
-    """Narrow armed counters near saturation: the replay law must reproduce
-    the scalar path's exact saturation behaviour across shard boundaries."""
+def test_sixteen_bit_saturating_counters_run_sequentially():
+    """Narrow armed counters near saturation: the armed rows keep the run
+    in-process, which must reproduce the scalar path's exact saturation
+    behaviour and digest stream."""
     task = MeasurementTask(
         key=KEY_SRC_IP,
         attribute=AttributeSpec.frequency(),
@@ -227,8 +273,9 @@ def test_sixteen_bit_saturating_counters_use_replay():
     scalar, scalar_handle = deploy()
     scalar.process_trace(trace, batch_size=None)
     sharded, sharded_handle = deploy()
-    report = sharded.process_trace_sharded(trace, workers=4, backend="serial")
-    assert report.fallback is None
+    report = sharded.process_trace_sharded(trace, workers=4)
+    assert report.shards == 0 and "(alarm)" in report.fallback
+    assert sharded._shard_pool is None
     _assert_identical(scalar, sharded, [scalar_handle], [sharded_handle])
 
 
@@ -239,7 +286,7 @@ def test_random_task_mix_scalar_vs_persistent_pool(workers):
     run 2 reuses them with only register resets and delta sync between."""
     rng = np.random.default_rng(7)
     catalog = _task_catalog(rng)
-    tasks = [catalog[0], catalog[1], catalog[3]]
+    tasks = [catalog[1], catalog[2], catalog[3]]
     trace = _trace(rng)
 
     scalar, scalar_handles = _deploy(tasks, "tcam")
@@ -248,14 +295,10 @@ def test_random_task_mix_scalar_vs_persistent_pool(workers):
         for run in range(2):
             scalar.process_trace(trace, batch_size=None)
             report = pooled.process_trace_sharded(
-                trace,
-                workers=workers,
-                batch_size=256,
-                backend="process",
-                runtime="persistent",
+                trace, workers=workers, batch_size=256
             )
             assert report.fallback is None
-            assert report.runtime == "persistent"
+            assert report.backend == "process"
             if run == 1:
                 assert all(
                     t["build_ms"] == 0.0 for t in report.shard_timings
@@ -263,54 +306,3 @@ def test_random_task_mix_scalar_vs_persistent_pool(workers):
             _assert_identical(scalar, pooled, scalar_handles, pooled_handles)
     finally:
         pooled.close_shard_pool()
-
-
-def test_persistent_exports_bit_identical_in_exact_mode():
-    """exact_exports through the pool: tracked=None makes every worker a
-    pure journal recorder, and the spliced export columns must equal a
-    sequential reference's bit for bit."""
-    rng = np.random.default_rng(21)
-    tasks = [_task_catalog(rng)[0], _task_catalog(rng)[1]]
-    trace = _trace(rng, num_packets=1501)
-
-    reference, _ = _deploy(tasks, "tcam")
-    ref = reference.process_trace_sharded(
-        trace, workers=1, backend="serial", collect_exports=True
-    )
-    pooled, _ = _deploy(tasks, "tcam")
-    try:
-        report = pooled.process_trace_sharded(
-            trace,
-            workers=4,
-            backend="process",
-            runtime="persistent",
-            exact_exports=True,
-        )
-        assert report.runtime == "persistent"
-        assert set(report.exports) == set(ref.exports)
-        for name in sorted(ref.exports):
-            np.testing.assert_array_equal(
-                report.exports[name], ref.exports[name], err_msg=name
-            )
-    finally:
-        pooled.close_shard_pool()
-
-
-def test_exports_bit_identical_in_exact_mode():
-    """exact_exports replays every task, so the spliced PHV export columns
-    must equal a sequential batched run's columns bit for bit."""
-    rng = np.random.default_rng(21)
-    tasks = [_task_catalog(rng)[0], _task_catalog(rng)[1]]
-    trace = _trace(rng, num_packets=1501)
-
-    reference, _ = _deploy(tasks, "tcam")
-    ref = reference.process_trace_sharded(
-        trace, workers=1, backend="serial", collect_exports=True
-    )
-    sharded, _ = _deploy(tasks, "tcam")
-    report = sharded.process_trace_sharded(
-        trace, workers=4, backend="serial", exact_exports=True
-    )
-    assert set(report.exports) == set(ref.exports)
-    for name in sorted(ref.exports):
-        np.testing.assert_array_equal(report.exports[name], ref.exports[name], err_msg=name)

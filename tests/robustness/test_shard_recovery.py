@@ -3,6 +3,7 @@ serially and the merged register state stays bit-identical to a sequential
 replay."""
 
 import itertools
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -58,11 +59,20 @@ def reference(trace):
     return controller
 
 
+def _force_thread_mode(monkeypatch):
+    monkeypatch.setattr(
+        multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+    )
+
+
 @pytest.mark.parametrize("backend", ["thread", "process"])
-def test_crashed_shard_recovers_bit_identical(backend, trace, reference):
+def test_crashed_shard_recovers_bit_identical(backend, monkeypatch, trace, reference):
+    if backend == "thread":
+        _force_thread_mode(monkeypatch)
     sharded = _controller([_cms_task()])
     FAULTS.arm(SITE_SHARD_CRASH, hit=2)  # second shard dispatch fails
-    report = run_sharded(sharded.groups, trace, workers=2, backend=backend)
+    report = run_sharded(sharded.groups, trace, workers=2)
+    assert report.backend == backend
     assert report.retries >= 1
     assert report.shard_events
     assert any(e["reason"] for e in report.shard_events)
@@ -70,11 +80,11 @@ def test_crashed_shard_recovers_bit_identical(backend, trace, reference):
 
 
 def test_killed_worker_process_recovers_bit_identical(trace, reference):
-    """A worker killed mid-shard (os._exit) breaks the pool; every affected
-    shard must be re-dispatched serially with an exact merge."""
+    """A worker killed mid-shard (os._exit); its shard must be re-dispatched
+    serially with an exact merge."""
     sharded = _controller([_cms_task()])
     FAULTS.arm(SITE_SHARD_CRASH, hit=2, arg="kill")
-    report = run_sharded(sharded.groups, trace, workers=2, backend="process")
+    report = run_sharded(sharded.groups, trace, workers=2)
     assert report.retries >= 1
     _assert_same_state(reference, sharded)
 
@@ -83,27 +93,24 @@ def test_hung_shard_times_out_and_retries(monkeypatch, trace, reference):
     monkeypatch.setenv("FLYMON_SHARD_TIMEOUT", "0.2")
     sharded = _controller([_cms_task()])
     FAULTS.arm(SITE_SHARD_TIMEOUT, hit=1, arg="5.0")  # sleep >> deadline
-    report = run_sharded(sharded.groups, trace, workers=2, backend="thread")
+    report = run_sharded(sharded.groups, trace, workers=2)
     assert report.timeouts >= 1
     assert report.retries >= 1
     assert any("timed out" in str(e["reason"]) for e in report.shard_events)
     _assert_same_state(reference, sharded)
 
 
-# -- persistent-runtime recovery ---------------------------------------------
+# -- resident-pool recovery --------------------------------------------------
 #
-# The persistent pool keeps workers resident across runs, so recovery has
-# two extra obligations the ephemeral runtime doesn't: a dead worker must
-# be respawned (with its replica rebuilt) so the *next* run still works,
-# and an in-worker exception must leave the surviving replica scrubbed
-# (not half-updated).  Every scenario ends with a clean follow-up run to
-# prove the pool healed.
+# The pool keeps workers resident across runs, so recovery has two extra
+# obligations beyond the run at hand: a dead worker must be respawned (with
+# its replica rebuilt) so the *next* run still works, and an in-worker
+# exception must leave the surviving replica scrubbed (not half-updated).
+# Every scenario ends with a clean follow-up run to prove the pool healed.
 
 
-def _pooled_run(controller, trace, **kwargs):
-    kwargs.setdefault("workers", 2)
-    kwargs.setdefault("backend", "process")
-    return controller.process_trace_sharded(trace, runtime="persistent", **kwargs)
+def _pooled_run(controller, trace):
+    return controller.process_trace_sharded(trace, workers=2)
 
 
 def test_pool_worker_crash_recovers_bit_identical(trace, reference):
@@ -111,7 +118,6 @@ def test_pool_worker_crash_recovers_bit_identical(trace, reference):
     try:
         FAULTS.arm(SITE_SHARD_CRASH, hit=2)  # raises inside a pool worker
         report = _pooled_run(sharded, trace)
-        assert report.runtime == "persistent"
         assert report.retries >= 1
         assert report.shard_events
         _assert_same_state(reference, sharded)
@@ -133,7 +139,6 @@ def test_pool_worker_killed_respawns_bit_identical(trace, reference):
     try:
         FAULTS.arm(SITE_SHARD_CRASH, hit=2, arg="kill")
         report = _pooled_run(sharded, trace)
-        assert report.runtime == "persistent"
         assert report.retries >= 1
         _assert_same_state(reference, sharded)
         pool = sharded._shard_pool
@@ -153,7 +158,6 @@ def test_pool_worker_hang_times_out_and_respawns(monkeypatch, trace, reference):
     try:
         FAULTS.arm(SITE_SHARD_TIMEOUT, hit=1, arg="5.0")
         report = _pooled_run(sharded, trace)
-        assert report.runtime == "persistent"
         assert report.timeouts >= 1
         assert report.retries >= 1
         assert any(
@@ -171,17 +175,12 @@ def test_pool_worker_hang_times_out_and_respawns(monkeypatch, trace, reference):
 def test_pool_thread_mode_hang_recovers(monkeypatch, trace, reference):
     """Thread-mode pool (the fork-unavailable fallback) under a hang: the
     stale slot is rebuilt from the mirror and the next run is clean."""
-    import multiprocessing
-
-    monkeypatch.setattr(
-        multiprocessing, "get_all_start_methods", lambda: ["spawn"]
-    )
+    _force_thread_mode(monkeypatch)
     monkeypatch.setenv("FLYMON_SHARD_TIMEOUT", "0.3")
     sharded = _controller([_cms_task()])
     try:
         FAULTS.arm(SITE_SHARD_TIMEOUT, hit=1, arg="5.0")
         report = _pooled_run(sharded, trace)
-        assert report.runtime == "persistent"
         assert report.backend == "thread"
         assert report.timeouts >= 1
         _assert_same_state(reference, sharded)
@@ -198,7 +197,7 @@ def test_persistent_crash_exhausts_retries(monkeypatch, trace):
     sharded = _controller([_cms_task()])
     FAULTS.arm(SITE_SHARD_CRASH, prob=1.0)  # re-fires on every dispatch
     with pytest.raises(ShardingError, match="serial re-dispatch"):
-        run_sharded(sharded.groups, trace, workers=2, backend="thread")
+        run_sharded(sharded.groups, trace, workers=2)
 
 
 def test_shard_retry_telemetry(trace, reference):
@@ -210,7 +209,7 @@ def test_shard_retry_telemetry(trace, reference):
     telemetry.reset()
     telemetry.enable()
     try:
-        run_sharded(sharded.groups, trace, workers=2, backend="thread")
+        run_sharded(sharded.groups, trace, workers=2)
         assert telemetry.TELEMETRY.events.of_type(EV_SHARD_RETRY)
         assert "flymon_shard_retries_total" in telemetry.to_prometheus(
             telemetry.TELEMETRY.registry
@@ -223,7 +222,7 @@ def test_shard_retry_telemetry(trace, reference):
 
 def test_no_faults_means_no_retries(trace, reference):
     sharded = _controller([_cms_task()])
-    report = run_sharded(sharded.groups, trace, workers=2, backend="thread")
+    report = run_sharded(sharded.groups, trace, workers=2)
     assert report.retries == 0
     assert report.timeouts == 0
     assert report.shard_events == []

@@ -42,6 +42,8 @@ class TestProfile:
                 "--flows", "300",
                 "--seed", "3",
                 "--workers", "2",
+                # Unarmed cell-law tasks engage the shard pool.
+                "--tasks", "card,entropy",
                 "--trace-out", str(trace_path),
                 "--json", str(spans_path),
             ]
@@ -79,6 +81,7 @@ class TestTop:
                 "--epoch-size", "800",
                 "--chunk", "1000",
                 "--workers", "2",
+                "--tasks", "card,entropy",
                 "--no-clear",
             ]
         )

@@ -1,16 +1,14 @@
-"""The streaming service on the persistent shard runtime.
+"""The streaming service on the persistent shard pool.
 
-Epoch rotation is the reason the persistent pool exists: a per-epoch window
-run must not pay fork + replica-build every time.  These tests pin the two
-halves of that contract -- sealed epochs stay bit-identical to the
-ephemeral runtime across many rotations (including the pool's in-place
-seal), and a `repro serve --checkpoint` artifact produced under the
-persistent runtime answers offline queries identically to one produced
-under the ephemeral runtime.
+Epoch rotation is the reason the pool is persistent: a per-epoch window run
+must not pay fork + replica-build every time.  These tests pin the two
+halves of that contract -- sealed epochs stay bit-identical to in-process
+batched ingest across many rotations (including the pool's in-place seal),
+and a `repro serve --checkpoint` artifact produced on the pool answers
+offline queries identically to one produced in-process.
 """
 
 import json
-import os
 
 import pytest
 
@@ -40,7 +38,7 @@ def _deploy(controller):
     ]
 
 
-def _run_stream(trace, epoch_packets, runtime, workers=2):
+def _run_stream(trace, epoch_packets, workers):
     controller = FlyMonController(num_groups=3)
     handles = _deploy(controller)
     service = MeasurementService(
@@ -48,7 +46,6 @@ def _run_stream(trace, epoch_packets, runtime, workers=2):
         epoch_packets=epoch_packets,
         retain=NUM_EPOCHS + 2,
         workers=workers,
-        runtime=runtime,
     )
     sealed = service.ingest(trace)
     rows = [
@@ -67,20 +64,19 @@ def _run_stream(trace, epoch_packets, runtime, workers=2):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_persistent_epochs_bit_identical_to_ephemeral(workers):
+def test_pool_epochs_bit_identical_to_in_process(workers):
     trace = zipf_trace(num_flows=500, num_packets=8000, seed=61)
     epoch_packets = len(trace) // NUM_EPOCHS
 
-    e_rows, e_digests, e_report, _, e_n = _run_stream(
-        trace, epoch_packets, "ephemeral", workers
-    )
+    e_rows, e_digests, e_report, _, e_n = _run_stream(trace, epoch_packets, 1)
     p_rows, p_digests, p_report, p_seals, p_n = _run_stream(
-        trace, epoch_packets, "persistent", workers
+        trace, epoch_packets, workers
     )
+    assert e_report is None  # workers=1 takes the in-process batched path
     assert e_n == p_n >= 20
-    if workers > 1:  # workers=1 takes the in-process batched path
-        assert e_report.runtime == "ephemeral"
-        assert p_report.runtime == "persistent"
+    if workers > 1:
+        assert p_report.fallback is None
+        assert p_report.shards == workers
         assert p_report.degraded is None
         # Every rotation sealed the pool in place -- never a teardown.
         assert p_seals == p_n
@@ -99,7 +95,6 @@ def test_rotation_reuses_the_pool():
         epoch_packets=len(trace) // NUM_EPOCHS,
         retain=NUM_EPOCHS + 2,
         workers=2,
-        runtime="persistent",
     )
     try:
         first = None
@@ -124,7 +119,7 @@ def test_rotation_reuses_the_pool():
         controller.close_shard_pool()
 
 
-def _serve_checkpoint(tmp_path, runtime, name):
+def _serve_checkpoint(tmp_path, workers, name):
     path = tmp_path / name
     argv = [
         "serve",
@@ -133,37 +128,26 @@ def _serve_checkpoint(tmp_path, runtime, name):
         "--flows", "400",
         "--seed", "33",
         "--epoch-size", "1000",
-        "--workers", "2",
-        "--tasks", "hh,card",
+        "--workers", str(workers),
+        # Unarmed cell-law tasks (MRAC sum, HLL max) engage the pool.
+        "--tasks", "entropy,card",
         "--checkpoint", str(path),
     ]
-    if runtime is not None:
-        argv += ["--shard-runtime", runtime]
-    try:
-        assert main(argv) == 0
-    finally:
-        # main() publishes --shard-runtime via the environment for the
-        # layers below; scrub it so later tests see a clean slate.
-        os.environ.pop("FLYMON_SHARD_RUNTIME", None)
+    assert main(argv) == 0
     with open(path) as fh:
         return json.load(fh)
 
 
 def test_checkpoint_restore_parity_across_runtimes(tmp_path, capsys):
-    """Satellite regression: `repro serve --checkpoint` under the
-    persistent runtime restores and answers queries identically to the
-    ephemeral artifact."""
-    eph = load_service_state(
-        _serve_checkpoint(tmp_path, "ephemeral", "eph.json")
-    )
-    per = load_service_state(
-        _serve_checkpoint(tmp_path, "persistent", "per.json")
-    )
+    """`repro serve --checkpoint` on the shard pool restores and answers
+    queries identically to the in-process artifact."""
+    eph = load_service_state(_serve_checkpoint(tmp_path, 1, "in_process.json"))
+    per = load_service_state(_serve_checkpoint(tmp_path, 2, "pool.json"))
     capsys.readouterr()
 
     assert len(per.epochs) == len(eph.epochs)
-    e_hh, e_card = eph.tasks
-    p_hh, p_card = per.tasks
+    e_freq, e_card = eph.tasks
+    p_freq, p_card = per.tasks
     trace = zipf_trace(num_flows=400, num_packets=6000, seed=33)
     flows = sorted(trace.flow_sizes(KEY_SRC_IP))[:10]
     for e_epoch, p_epoch in zip(eph.epochs, per.epochs):
@@ -171,8 +155,8 @@ def test_checkpoint_restore_parity_across_runtimes(tmp_path, capsys):
         assert p_epoch.packets == e_epoch.packets
         for flow in flows:
             assert per.query(
-                FrequencyQuery(p_hh, flow), epoch=p_epoch
-            ) == eph.query(FrequencyQuery(e_hh, flow), epoch=e_epoch)
+                FrequencyQuery(p_freq, flow), epoch=p_epoch
+            ) == eph.query(FrequencyQuery(e_freq, flow), epoch=e_epoch)
         assert per.query(
             CardinalityQuery(p_card), epoch=p_epoch
         ) == eph.query(CardinalityQuery(e_card), epoch=e_epoch)
