@@ -8,7 +8,7 @@ FlyMon algorithms so accuracy comparisons never diverge on estimator details.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -129,83 +129,71 @@ def mrac_em(
     Follows Kumar et al.'s Poisson collision model: bucket loads are
     Poisson(n/m), and each non-zero counter value is explained as a mixture
     of compositions of up to three colliding flow sizes (4-way collisions
-    are negligible at the load factors the experiments use).
+    are negligible at the load factors the experiments use).  A composition
+    weighs Poisson(k; n/m) x its multinomial ordering factor x the product
+    of its parts' size probabilities.
+
+    The estimate starts on the distinct observed values <= ``max_size`` and
+    every composition part comes from the previous estimate's support, so the
+    support never leaves those values: their compositions are listed once,
+    and each iteration only re-weights that table.
 
     Returns ``{flow_size: estimated_flow_count}``.
     """
-    values, counts = np.unique(
-        np.asarray([v for v in counter_values if v > 0], dtype=np.int64),
-        return_counts=True,
-    )
-    hist = {int(v): int(c) for v, c in zip(values, counts)}
-    if not hist:
-        return {}
-    small = {v: c for v, c in hist.items() if v <= max_size}
-    large = {v: c for v, c in hist.items() if v > max_size}
+    cells = np.asarray(counter_values, dtype=np.int64)
+    values, counts = np.unique(cells[cells > 0], return_counts=True)
+    small = values <= max_size
+    sizes, buckets = values[small], counts[small]
+    n = sizes.size
+    # Parts are indices into ``sizes`` sorted a <= b <= c; index n is an
+    # absent part, of size 0 and probability 1.
+    i, j = np.triu_indices(n)
+    # Each pair takes every third part >= its second that keeps the sum in range.
+    room = sizes.max(initial=0) - sizes[i] - sizes[j]
+    room = np.maximum(np.searchsorted(sizes, room, "right") - j, 0)
+    t = np.repeat(np.arange(i.size), room)
+    third = j[t] + np.arange(t.size) - np.repeat(np.cumsum(room) - room, room)
+    absent = np.full(n + i.size, n)
+    a = np.concatenate([np.arange(n), i, i[t]])
+    b = np.concatenate([absent[:n], j, j[t]])
+    c = np.concatenate([absent, third])
+    total = np.append(sizes, 0)[[a, b, c]].sum(axis=0)
+    row = np.minimum(np.searchsorted(sizes, total), n - 1)
+    arity = np.repeat([1, 2, 3], [n, i.size, t.size])
+    table = np.stack([row, arity, a, b, c])[:, sizes[row] == total]
+    # Rows in the order the compositions of each value are enumerated: the
+    # value itself, then pairs and triples by ascending parts.
+    row, arity, a, b, c = table[:, np.lexsort(table[3::-1])]
+    # Ordering factor arity! / run!, the run being the equal sorted parts.
+    fact = np.array([1.0, 1.0, 2.0, 6.0])
+    mult = fact[arity] / fact[1 + (a == b) + ((b == c) & (arity == 3))]
+    parts = np.stack([a, b, c], axis=1)
+    single = np.flatnonzero(arity == 1)
+    row_buckets = buckets[row].astype(np.float64)
 
-    phi: Dict[int, float] = {v: float(c) for v, c in small.items()}
+    phi = buckets.astype(np.float64)
+    p = np.ones(n + 1)
     for _ in range(iterations):
-        n_flows = sum(phi.values())
+        n_flows = phi.sum()
         if n_flows <= 0:
             break
         lam = n_flows / num_buckets
-        p_size = {s: phi[s] / n_flows for s in phi}
-        new_phi: Dict[int, float] = {}
-        for v, buckets in small.items():
-            comps = _compositions(v, p_size, lam)
-            z = sum(w for _, w in comps)
-            if z <= 0:
-                comps, z = [((v,), 1.0)], 1.0
-            for sizes, w in comps:
-                share = buckets * w / z
-                for s in sizes:
-                    new_phi[s] = new_phi.get(s, 0.0) + share
-        phi = {s: c for s, c in new_phi.items() if c > 1e-9}
-    for v, c in large.items():
-        phi[v] = phi.get(v, 0.0) + c
-    return phi
-
-
-def _compositions(
-    value: int, p_size: Dict[int, float], lam: float, max_parts: int = 3
-) -> List[Tuple[Tuple[int, ...], float]]:
-    """Weighted compositions of ``value`` from <= ``max_parts`` flow sizes.
-
-    Weight = Poisson(k; lam) arrival probability x product of size
-    probabilities x multinomial ordering factor (sorted tuples enumerated).
-    """
-    sizes = sorted(p_size)
-    out: List[Tuple[Tuple[int, ...], float]] = []
-
-    def poisson(k: int) -> float:
-        return math.exp(-lam) * lam**k / math.factorial(k)
-
-    if value in p_size:
-        out.append(((value,), poisson(1) * p_size[value]))
-    if max_parts >= 2:
-        for a in sizes:
-            b = value - a
-            if b < a:
-                break
-            if b in p_size:
-                mult = 1.0 if a == b else 2.0
-                out.append(((a, b), poisson(2) * mult * p_size[a] * p_size[b]))
-    if max_parts >= 3:
-        for i, a in enumerate(sizes):
-            if 3 * a > value:
-                break
-            for b in sizes[i:]:
-                c = value - a - b
-                if c < b:
-                    break
-                if c in p_size:
-                    if a == b == c:
-                        mult = 1.0
-                    elif a == b or b == c:
-                        mult = 3.0
-                    else:
-                        mult = 6.0
-                    out.append(
-                        ((a, b, c), poisson(3) * mult * p_size[a] * p_size[b] * p_size[c])
-                    )
+        poisson = np.array(
+            [math.exp(-lam) * lam**k / math.factorial(k) for k in range(4)]
+        )
+        np.divide(phi, n_flows, out=p[:n])
+        pp = p[parts]
+        w = poisson[arity] * mult * pp[:, 0] * pp[:, 1] * pp[:, 2]
+        z = np.bincount(row, w, n)
+        dead = z <= 0
+        if dead.any():  # no weighted composition: one flow of that size
+            z[dead] = 1.0
+            w[single[dead]] = 1.0
+        share = row_buckets * w / z[row]
+        phi = np.bincount(parts.ravel(), np.repeat(share, 3), n + 1)[:n]
+        phi[phi <= 1e-9] = 0.0
+    keep = phi > 0
+    out = dict(zip(sizes[keep].tolist(), phi[keep].tolist()))
+    large = counts[~small].astype(np.float64)
+    out.update(zip(values[~small].tolist(), large.tolist()))
     return out

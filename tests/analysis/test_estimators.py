@@ -1,9 +1,12 @@
 """Unit tests for the control-plane estimators."""
 
 import math
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.entropy import entropy_from_distribution, normalized_entropy
 from repro.analysis.estimators import (
@@ -16,6 +19,9 @@ from repro.analysis.estimators import (
     rho32,
     tune_coupon_probability,
 )
+from repro.core.controller import FlyMonController
+from repro.core.task import AttributeSpec, MeasurementTask
+from repro.traffic import KEY_5TUPLE, zipf_trace
 
 
 class TestRho32:
@@ -125,6 +131,170 @@ class TestMracEm:
     def test_large_values_preserved(self):
         phi = mrac_em([10_000, 1, 1], 64, max_size=100)
         assert phi.get(10_000, 0) >= 1
+
+
+# ---------------------------------------------------------------------------
+# Reference MRAC EM: the original per-value enumeration, kept verbatim as the
+# oracle for the table-driven ``mrac_em``.
+# ---------------------------------------------------------------------------
+
+
+def reference_mrac_em(
+    counter_values: Sequence[int],
+    num_buckets: int,
+    iterations: int = 50,
+    max_size: int = 512,
+) -> Dict[int, float]:
+    """EM estimate of the flow-size distribution from an MRAC counter array.
+
+    Follows Kumar et al.'s Poisson collision model: bucket loads are
+    Poisson(n/m), and each non-zero counter value is explained as a mixture
+    of compositions of up to three colliding flow sizes (4-way collisions
+    are negligible at the load factors the experiments use).
+
+    Returns ``{flow_size: estimated_flow_count}``.
+    """
+    values, counts = np.unique(
+        np.asarray([v for v in counter_values if v > 0], dtype=np.int64),
+        return_counts=True,
+    )
+    hist = {int(v): int(c) for v, c in zip(values, counts)}
+    if not hist:
+        return {}
+    small = {v: c for v, c in hist.items() if v <= max_size}
+    large = {v: c for v, c in hist.items() if v > max_size}
+
+    phi: Dict[int, float] = {v: float(c) for v, c in small.items()}
+    for _ in range(iterations):
+        n_flows = sum(phi.values())
+        if n_flows <= 0:
+            break
+        lam = n_flows / num_buckets
+        p_size = {s: phi[s] / n_flows for s in phi}
+        new_phi: Dict[int, float] = {}
+        for v, buckets in small.items():
+            comps = _compositions(v, p_size, lam)
+            z = sum(w for _, w in comps)
+            if z <= 0:
+                comps, z = [((v,), 1.0)], 1.0
+            for sizes, w in comps:
+                share = buckets * w / z
+                for s in sizes:
+                    new_phi[s] = new_phi.get(s, 0.0) + share
+        phi = {s: c for s, c in new_phi.items() if c > 1e-9}
+    for v, c in large.items():
+        phi[v] = phi.get(v, 0.0) + c
+    return phi
+
+
+def _compositions(
+    value: int, p_size: Dict[int, float], lam: float, max_parts: int = 3
+) -> List[Tuple[Tuple[int, ...], float]]:
+    """Weighted compositions of ``value`` from <= ``max_parts`` flow sizes.
+
+    Weight = Poisson(k; lam) arrival probability x product of size
+    probabilities x multinomial ordering factor (sorted tuples enumerated).
+    """
+    sizes = sorted(p_size)
+    out: List[Tuple[Tuple[int, ...], float]] = []
+
+    def poisson(k: int) -> float:
+        return math.exp(-lam) * lam**k / math.factorial(k)
+
+    if value in p_size:
+        out.append(((value,), poisson(1) * p_size[value]))
+    if max_parts >= 2:
+        for a in sizes:
+            b = value - a
+            if b < a:
+                break
+            if b in p_size:
+                mult = 1.0 if a == b else 2.0
+                out.append(((a, b), poisson(2) * mult * p_size[a] * p_size[b]))
+    if max_parts >= 3:
+        for i, a in enumerate(sizes):
+            if 3 * a > value:
+                break
+            for b in sizes[i:]:
+                c = value - a - b
+                if c < b:
+                    break
+                if c in p_size:
+                    if a == b == c:
+                        mult = 1.0
+                    elif a == b or b == c:
+                        mult = 3.0
+                    else:
+                        mult = 6.0
+                    out.append(
+                        ((a, b, c), poisson(3) * mult * p_size[a] * p_size[b] * p_size[c])
+                    )
+    return out
+
+
+def assert_matches_reference(counter_values, num_buckets, **kwargs):
+    expected = reference_mrac_em(counter_values, num_buckets, **kwargs)
+    got = mrac_em(counter_values, num_buckets, **kwargs)
+    assert list(got) == list(expected)
+    for size, count in expected.items():
+        assert got[size] == pytest.approx(count, rel=1e-9, abs=0), size
+    assert entropy_from_distribution(got) == pytest.approx(
+        entropy_from_distribution(expected), rel=1e-12, abs=0
+    )
+    # The support never leaves the observed values: the table rests on it.
+    assert set(got) <= {int(v) for v in counter_values}
+    return got
+
+
+class TestMracEmOracle:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        load=st.floats(min_value=0.1, max_value=3.0),
+        num_buckets=st.sampled_from([32, 128, 512]),
+        max_size=st.sampled_from([4, 16, 512]),
+        iterations=st.sampled_from([0, 1, 50]),
+    )
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_random_loads(self, seed, load, num_buckets, max_size, iterations):
+        """Zipf flow sizes hashed at load 0.1-3, on both sides of max_size."""
+        rng = np.random.default_rng(seed)
+        sizes = rng.zipf(1.6, size=max(1, round(load * num_buckets)))
+        cells = np.bincount(
+            rng.integers(0, num_buckets, size=sizes.size),
+            weights=sizes,
+            minlength=num_buckets,
+        ).astype(np.int64)
+        assert_matches_reference(
+            cells, num_buckets, iterations=iterations, max_size=max_size
+        )
+
+    @pytest.mark.parametrize("cells", [[], [0] * 64])
+    def test_empty_and_all_zero(self, cells):
+        assert assert_matches_reference(cells, 64) == {}
+
+    def test_only_values_above_max_size(self):
+        got = assert_matches_reference([0, 700, 600, 700], 64)
+        assert got == {600: 1.0, 700: 2.0}
+
+    def test_flymon_mrac_cells(self):
+        controller = FlyMonController(num_groups=1)
+        handle = controller.add_task(
+            MeasurementTask(
+                key=KEY_5TUPLE,
+                attribute=AttributeSpec.frequency(),
+                memory=2048,
+                algorithm="mrac",
+            )
+        )
+        controller.process_trace(zipf_trace(num_flows=2_000, num_packets=10_000, seed=77))
+        cells = handle.algorithm.rows[0].read()
+        assert_matches_reference(cells, len(cells))
+
+    def test_underflowing_weights_fall_back_to_one_flow(self):
+        """At load ~805 exp(-lambda) underflows, every weight is 0 and each
+        value is explained as one flow of that size."""
+        got = assert_matches_reference([1] * 800 + [2] * 5, 1, iterations=3)
+        assert got == {1: 800.0, 2: 5.0}
 
 
 class TestEntropyHelpers:

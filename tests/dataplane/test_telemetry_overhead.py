@@ -13,7 +13,7 @@ from repro import telemetry
 from repro.dataplane.pipeline import Pipeline
 
 PACKETS = 15_000
-REPEATS = 7
+ROUNDS = 14
 
 #: Recorder-off budget for the flight recorder on a full batched trace run
 #: (ISSUE: spans must cost <1% when the recorder is disabled).
@@ -27,14 +27,24 @@ def _build_pipeline() -> Pipeline:
     return pipeline
 
 
-def _best_of(fn, fields, repeats=REPEATS, packets=PACKETS) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = perf_counter()
-        for _ in range(packets):
-            fn(fields)
-        best = min(best, perf_counter() - start)
-    return best
+def _time(fn, fields, packets=PACKETS) -> float:
+    start = perf_counter()
+    for _ in range(packets):
+        fn(fields)
+    return perf_counter() - start
+
+
+def _best_of_interleaved(fn_a, fn_b, fields, rounds=ROUNDS):
+    """Each side's best single repeat, the repeats alternating A, B, A, B...
+
+    The machine's speed drifts over seconds; timing all of one side before
+    the other would read such a drift as overhead.
+    """
+    best_a = best_b = float("inf")
+    for _ in range(rounds):
+        best_a = min(best_a, _time(fn_a, fields))
+        best_b = min(best_b, _time(fn_b, fields))
+    return best_a, best_b
 
 
 def test_disabled_overhead_under_five_percent():
@@ -52,8 +62,9 @@ def test_disabled_overhead_under_five_percent():
         uninstrumented(fields)
         pipeline.process(fields)
 
-    baseline = _best_of(uninstrumented, fields)
-    instrumented = _best_of(pipeline.process, fields)
+    baseline, instrumented = _best_of_interleaved(
+        uninstrumented, pipeline.process, fields
+    )
     overhead = instrumented / baseline - 1.0
     assert overhead < 0.05, (
         f"telemetry-disabled Pipeline.process overhead {overhead:.2%} "
